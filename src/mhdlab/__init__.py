@@ -39,6 +39,7 @@ from .kernels import (  # noqa: F401
     riesz_potential,
 )
 from .mild import (  # noqa: F401
+    DivergenceError,
     IterationReport,
     MhdTrace,
     TimeMesh,

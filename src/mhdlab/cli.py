@@ -4,7 +4,8 @@ Subcommands:
 
 - ``simulate --config cfg.json [--seed N]``: run the fixed-point construction,
   write a manifest, CSV time series, and MHF1 snapshots.  Exit 0 on
-  convergence, 2 when the iteration does not contract, 1 on error.
+  convergence, 2 when the iteration does not contract or diverges, 1 on
+  error.  ``--seed N`` seeds the vorticity with N and the current with N + 1.
 - ``verify {props,identities,recursions,regions,all}``: run a property suite,
   print the JSON verdict; nonzero exit naming the failing checks.
 - ``region p q [p0 q0 [q0_tilde q1]] | --csv file``: membership booleans and
@@ -57,15 +58,18 @@ def _mesh_from_config(cfg: dict) -> TimeMesh:
 
 
 def _apply_seed(data_spec: dict, seed: int) -> dict:
+    """Flat specs take ``seed``; coupled specs give omega ``seed`` and j ``seed + 1``.
+
+    Distinct seeds keep coupled data from collapsing to omega = j, where both
+    nonlinear terms cancel identically.
+    """
     out = dict(data_spec)
     if "family" in out:
         out["seed"] = seed
         return out
-    for key in ("omega", "j"):
+    for offset, key in enumerate(("omega", "j")):
         if out.get(key):
-            sub = dict(out[key])
-            sub["seed"] = seed
-            out[key] = sub
+            out[key] = {**out[key], "seed": seed + offset}
     return out
 
 
@@ -173,11 +177,11 @@ def _cmd_simulate(args) -> int:
         json.dumps(manifest, indent=1, sort_keys=True) + "\n", encoding="utf-8"
     )
     if not report.converged:
-        print(
-            f"did not contract within {max_sweeps} sweeps (last delta "
-            f"{report.deltas[-1]:.3e}); initial data too large or horizon too long",
-            file=sys.stderr,
-        )
+        if math.isinf(report.deltas[-1]):
+            reason = f"iterates diverged in sweep {report.sweep_count}"
+        else:
+            reason = f"did not contract within {max_sweeps} sweeps (last delta {report.deltas[-1]:.3e})"
+        print(f"{reason}; initial data too large or horizon too long", file=sys.stderr)
         return 2
     print(f"converged in {report.sweep_count} sweeps; outputs in {out_dir}")
     return 0
@@ -264,7 +268,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     sim = sub.add_parser("simulate", help="run the fixed-point construction from a JSON config")
     sim.add_argument("--config", required=True, help="path to the experiment JSON")
-    sim.add_argument("--seed", type=int, default=None, help="override the data seed")
+    sim.add_argument(
+        "--seed", type=int, default=None,
+        help="override the data seed (coupled data: omega gets N, j gets N + 1)",
+    )
 
     ver = sub.add_parser("verify", help="run a property suite")
     ver.add_argument("suite", choices=["props", "identities", "recursions", "regions", "all"])

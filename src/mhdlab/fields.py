@@ -71,6 +71,7 @@ def _spectral_tables(n: int, l: float):
       kd    -- (3, n, n, n) derivative wavevectors (Nyquist zeroed, odd operators)
       k2    -- |k|**2 with the full Nyquist mode (even operators)
       k2d   -- |kd|**2 of the derivative wavevectors
+      inv_k2d -- 1/k2d, zero where k2d vanishes (curl inversion)
       keep  -- boolean 2/3-rule mask (True where the mode is retained)
     """
     kint = np.fft.fftfreq(n, d=1.0 / n)  # integer wavenumbers as floats
@@ -85,14 +86,16 @@ def _spectral_tables(n: int, l: float):
     kdx, kdy, kdz = np.meshgrid(k1d, k1d, k1d, indexing="ij")
     kd = np.stack([kdx, kdy, kdz])
     k2d = kdx**2 + kdy**2 + kdz**2
+    inv_k2d = np.zeros_like(k2d)
+    np.divide(1.0, k2d, out=inv_k2d, where=k2d > 0)
 
     cutoff = n / 3.0
     ax = np.abs(kint) <= cutoff
     keep = ax[:, None, None] & ax[None, :, None] & ax[None, None, :]
 
-    for arr in (kd, k2, k2d, keep):
+    for arr in (kd, k2, k2d, inv_k2d, keep):
         arr.setflags(write=False)
-    return {"kd": kd, "k2": k2, "k2d": k2d, "keep": keep}
+    return {"kd": kd, "k2": k2, "k2d": k2d, "inv_k2d": inv_k2d, "keep": keep}
 
 
 def _tables(grid: Grid):
@@ -229,12 +232,10 @@ def curl(v: VectorField) -> VectorField:
 def project_div_free(v: VectorField) -> VectorField:
     """Leray projection onto divergence-free fields; mean mode untouched."""
     t = _tables(v.grid)
-    kd, k2d = t["kd"], t["k2d"]
-    inv_k2 = np.zeros_like(k2d)
-    np.divide(1.0, k2d, out=inv_k2, where=k2d > 0)
+    kd = t["kd"]
     vh = _fwd(v.values)
     kdotv = kd[0] * vh[0] + kd[1] * vh[1] + kd[2] * vh[2]
-    return VectorField(v.grid, _inv(vh - kd * (kdotv * inv_k2)[None]))
+    return VectorField(v.grid, _inv(vh - kd * (kdotv * t["inv_k2d"])[None]))
 
 
 def dealias(s: SpectralField) -> SpectralField:

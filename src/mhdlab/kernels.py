@@ -19,8 +19,6 @@ from .fields import (
     _fwd,
     _inv,
     _tables,
-    divergence,
-    max_norm,
     mean_value,
 )
 
@@ -72,17 +70,25 @@ def heat_time_derivative(f: ScalarField, t: float, nu: float = 1.0) -> ScalarFie
     return ScalarField(f.grid, _inv(-nu * k2 * np.exp(-nu * t * k2) * _fwd(f.values)))
 
 
-def _require_solenoidal(w: VectorField, what: str) -> None:
-    scale = max(max_norm(w), np.finfo(float).tiny)
-    dmax = max_norm(divergence(w))
+def _require_solenoidal(values: np.ndarray, vh: np.ndarray, grid, what: str) -> None:
+    """Reject a vector field (``values``, spectrum ``vh``) unless solenoidal and mean-free."""
+    kd = _tables(grid)["kd"]
+    scale = max(float(np.sqrt(np.sum(values**2, axis=0)).max()), np.finfo(float).tiny)
+    dmax = float(np.abs(_inv(1j * (kd[0] * vh[0] + kd[1] * vh[1] + kd[2] * vh[2]))).max())
     if dmax > SOLENOIDAL_TOL * scale:
         raise ValueError(
             f"{what} must be divergence-free: max |div| = {dmax:.3e} "
             f"exceeds {SOLENOIDAL_TOL:.0e} * {scale:.3e}"
         )
-    means = [abs(float(w.values[i].mean())) for i in range(3)]
+    means = [abs(float(vh[i, 0, 0, 0].real)) for i in range(3)]
     if max(means) > 1e-10 * max(scale, 1e-30):
         raise ValueError(f"{what} must have zero mean, got component means {means}")
+
+
+def _biot_savart_hat(wh: np.ndarray, grid) -> np.ndarray:
+    """Spectral curl inversion ``i k x w_hat / |k|^2`` with the mean mode pinned to zero."""
+    tab = _tables(grid)
+    return _curl_hat(wh * tab["inv_k2d"][None], tab["kd"])
 
 
 def biot_savart(w: VectorField) -> VectorField:
@@ -92,13 +98,9 @@ def biot_savart(w: VectorField) -> VectorField:
     zero.  The input must be solenoidal within :data:`SOLENOIDAL_TOL` (relative
     max-norm) and mean-free.
     """
-    _require_solenoidal(w, "biot_savart input")
-    tab = _tables(w.grid)
-    kd, k2d = tab["kd"], tab["k2d"]
-    inv_k2 = np.zeros_like(k2d)
-    np.divide(1.0, k2d, out=inv_k2, where=k2d > 0)
-    wh = _fwd(w.values) * inv_k2[None]
-    return VectorField(w.grid, _inv(_curl_hat(wh, kd)))
+    wh = _fwd(w.values)
+    _require_solenoidal(w.values, wh, w.grid, "biot_savart input")
+    return VectorField(w.grid, _inv(_biot_savart_hat(wh, w.grid)))
 
 
 def riesz_potential(f: ScalarField, delta: float) -> ScalarField:

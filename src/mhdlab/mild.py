@@ -8,6 +8,21 @@ initial data minus the time-convolved nonlinear forcing of the previous
 iterate.  Nonlinear products are formed in physical space and dealiased by the
 2/3 rule before differentiation, so iterates of band-limited data stay exactly
 band-limited.
+
+A sweep stays in spectral space and costs O(M) in the number of nodes.  The
+Duhamel integral advances node by node with the semigroup recursion
+``acc_m = E(h) acc_{m-1} + A(h) F_{m-1} + B(h) F_m``: ``E(h)`` is the heat
+multiplier of the step ``h = t_m - t_{m-1}`` and ``A(h)``, ``B(h)`` fold the
+Gauss-Legendre weights of the linearly interpolated forcing over that step,
+so every mesh, graded ones included, gets the same quadrature as the direct
+sum over all earlier subintervals.  The forcing of a node is computed inside
+that loop and dropped after the next step.  The new vorticity and current are
+``exp(-t_m |k|^2) w0_hat - acc_m``; each field and its curl inverse come from
+that spectrum with one inverse transform each.
+
+The current source is evaluated as ``-curl curl(dealias(u x b))``, which equals
+the curl of the dealiased ``(u.grad)b - (b.grad)u`` for band-limited solenoidal
+``u, b``; the gradient forms survive as the test oracle :func:`stretching_form`.
 """
 
 from __future__ import annotations
@@ -28,7 +43,7 @@ from .fields import (
     _tables,
     lp_norm,
 )
-from .kernels import biot_savart, heat_propagate
+from .kernels import _biot_savart_hat, _require_solenoidal, biot_savart, heat_propagate
 from .morrey import BallSampling, WeightedSeminorms, weighted_seminorms
 
 
@@ -182,9 +197,10 @@ def _advective_difference(u: np.ndarray, b: np.ndarray, grid: Grid) -> np.ndarra
 
 
 def _source_hat(u: np.ndarray, b: np.ndarray, grid: Grid) -> np.ndarray:
-    adv = _advective_difference(u, b, grid)
-    advh = _dealias_hat(_fwd(adv), grid)
-    return _curl_hat(advh, _tables(grid)["kd"])
+    """Spectral ``-curl curl`` of the dealiased cross product ``u x b``."""
+    cross = np.stack([u[1] * b[2] - u[2] * b[1], u[2] * b[0] - u[0] * b[2], u[0] * b[1] - u[1] * b[0]])
+    kd = _tables(grid)["kd"]
+    return -_curl_hat(_curl_hat(_dealias_hat(_fwd(cross), grid), kd), kd)
 
 
 def vorticity_flux(u: VectorField, w: VectorField, b: VectorField, j: VectorField) -> VectorField:
@@ -199,50 +215,72 @@ def vorticity_flux(u: VectorField, w: VectorField, b: VectorField, j: VectorFiel
 
 
 def current_source(u: VectorField, b: VectorField) -> VectorField:
-    """Curl of the dealiased advective difference ``(u.grad)b - (b.grad)u``."""
+    """Curl of the advective difference ``(u.grad)b - (b.grad)u`` of solenoidal fields.
+
+    Evaluated as ``-curl curl(dealias(u x b))``, which equals the curl of the
+    dealiased gradient form for band-limited solenoidal inputs (the test
+    oracle is ``curl(stretching_form(u, b, 0, 0))``).
+    """
     grid = _same_grid(u, b)
     return VectorField(grid, _inv(_source_hat(u.values, b.values, grid)))
 
 
 def stretching_form(u: VectorField, w: VectorField, b: VectorField, j: VectorField) -> VectorField:
-    """Gradient-form twin of :func:`vorticity_flux`; equal for solenoidal inputs."""
+    """Gradient-form twin of :func:`vorticity_flux`; equal for solenoidal inputs.
+
+    Kept as the test oracle of the fast forms: ``stretching_form(u, b, 0, 0)``
+    is the dealiased ``(u.grad)b - (b.grad)u``, whose curl is the current source.
+    """
     grid = _same_grid(u, w, b, j)
     out = _advective_difference(u.values, w.values, grid)
     out -= _advective_difference(b.values, j.values, grid)
     return VectorField(grid, _inv(_dealias_hat(_fwd(out), grid)))
 
 
-def _gl_rule(order: int):
-    return np.polynomial.legendre.leggauss(order)
+def _step_multipliers(k2: np.ndarray, h: float, quad_order: int):
+    """Multipliers ``E, A, B`` that advance a spectral Duhamel integral over one mesh step.
+
+    Over a step of length ``h`` the integral becomes ``E acc + A f_prev + B
+    f_next``: ``E`` is the heat multiplier of the step, and ``A``, ``B`` fold
+    the linear interpolation of the forcing with the heat factor evaluated
+    exactly at the step's Gauss-Legendre abscissae.
+    """
+    half = 0.5 * h
+    a = np.zeros_like(k2)
+    b = np.zeros_like(k2)
+    for x, wq in zip(*np.polynomial.legendre.leggauss(quad_order)):
+        frac = 0.5 * (1.0 + x)
+        heat = np.exp(-(half * (1.0 - x)) * k2)
+        a += (wq * half * (1.0 - frac)) * heat
+        b += (wq * half * frac) * heat
+    return np.exp(-h * k2), a, b
 
 
-def _duhamel_hat(forcing_hats, mesh: TimeMesh, m: int, grid: Grid) -> np.ndarray:
-    """Assemble ``int_0^{t_m} exp(-(t_m - s)|k|^2) F_hat(s) ds`` in spectral space.
+def _duhamel_step(acc: np.ndarray, f_prev: np.ndarray, f_next: np.ndarray, mult) -> None:
+    """``acc <- E acc + A f_prev + B f_next`` in place, for ``mult = (E, A, B)``."""
+    e, a, b = mult
+    acc *= e
+    acc += a * f_prev
+    acc += b * f_next
+
+
+def duhamel_integral(forcings, mesh: TimeMesh, t: float) -> VectorField:
+    """Heat-smoothed time integral of a node-sampled forcing, up to mesh node ``t``.
 
     The forcing is linearly interpolated between nodes; the heat factor is
     evaluated exactly at the Gauss-Legendre abscissae of each subinterval.
     """
-    k2 = _tables(grid)["k2"]
-    xi, wi = _gl_rule(mesh.quad_order)
-    t = mesh.nodes[m]
-    acc = np.zeros_like(forcing_hats[0])
-    for a in range(m):
-        ta, tb = mesh.nodes[a], mesh.nodes[a + 1]
-        half = 0.5 * (tb - ta)
-        for x, wq in zip(xi, wi):
-            s = 0.5 * (ta + tb) + half * x
-            frac = (s - ta) / (tb - ta)
-            heat = np.exp(-(t - s) * k2)
-            acc += (wq * half) * heat * ((1.0 - frac) * forcing_hats[a] + frac * forcing_hats[a + 1])
-    return acc
-
-
-def duhamel_integral(forcings, mesh: TimeMesh, t: float) -> VectorField:
-    """Heat-smoothed time integral of a node-sampled forcing, up to mesh node ``t``."""
     m = mesh.node_index(t)
     grid = _same_grid(*forcings)
-    hats = [_fwd(f.values) for f in forcings]
-    return VectorField(grid, _inv(_duhamel_hat(hats, mesh, m, grid)))
+    k2 = _tables(grid)["k2"]
+    prev = _fwd(forcings[0].values)
+    acc = np.zeros_like(prev)
+    for a in range(m):
+        nxt = _fwd(forcings[a + 1].values)
+        mult = _step_multipliers(k2, mesh.nodes[a + 1] - mesh.nodes[a], mesh.quad_order)
+        _duhamel_step(acc, prev, nxt, mult)
+        prev = nxt
+    return VectorField(grid, _inv(acc))
 
 
 def heat_flow_trace(w0: VectorField, j0: VectorField, mesh: TimeMesh) -> MhdTrace:
@@ -252,41 +290,67 @@ def heat_flow_trace(w0: VectorField, j0: VectorField, mesh: TimeMesh) -> MhdTrac
     return MhdTrace.from_vorticity(mesh, omega, current)
 
 
+class DivergenceError(ArithmeticError):
+    """The fixed-point iterates left the range of finite floating-point numbers."""
+
+
+def _require_finite(what: str, *values) -> None:
+    for v in values:
+        if not np.all(np.isfinite(v)):
+            raise DivergenceError(f"{what} is not finite: the iterates diverged")
+
+
+def _fill_node(hat: np.ndarray, grid: Grid, t: float, field: np.ndarray, potential: np.ndarray,
+               what: str) -> None:
+    """Fill a new node's field and curl inverse from its spectrum; check them finite and solenoidal."""
+    if t > 0.0:  # the node at t = 0 already holds the initial datum
+        field[...] = _inv(hat)
+    potential[...] = _inv(_biot_savart_hat(hat, grid))
+    _require_finite(f"{what} at t = {t}", field, potential)
+    _require_solenoidal(field, hat, grid, f"{what} at t = {t}")
+
+
 def picard_sweep(trace: MhdTrace, w0: VectorField, j0: VectorField) -> MhdTrace:
     """One whole-trajectory fixed-point update.
 
-    Evaluates the nonlinear terms of the previous iterate at every node, then
+    Evaluates the nonlinear terms of the previous iterate node by node and
     sets ``new(t) = heat_flow(initial, t) - duhamel(forcing, t)`` for both the
     vorticity and the current.  The minus sign matches the evolution system:
     the transport term enters the time derivative with a negative sign.
+    Raises :class:`DivergenceError` when a new node is not finite.
     """
     grid = trace.grid
     mesh = trace.mesh
-    flux_hats = []
-    src_hats = []
-    for u, w, b, j in zip(trace.velocity, trace.omega, trace.magnetic, trace.current):
-        flux_hats.append(_flux_hat(u.values, w.values, b.values, j.values, grid))
-        src_hats.append(_source_hat(u.values, b.values, grid))
-    new_omega = []
-    new_current = []
+    k2 = _tables(grid)["k2"]
+    w0h, j0h = _fwd(w0.values), _fwd(j0.values)
+    # omega, velocity, current, magnetic of every node in one block, which is
+    # released whole with the trace instead of fragmenting the heap
+    out = np.empty((4, len(mesh.nodes)) + w0.values.shape)
+    out[0, 0], out[2, 0] = w0.values, j0.values
+    acc = (np.zeros_like(w0h), np.zeros_like(j0h))
+    prev = None
     for m, t in enumerate(mesh.nodes):
-        wt = heat_propagate(w0, t)
-        jt = heat_propagate(j0, t)
+        u, w, b, j = (f[m].values for f in (trace.velocity, trace.omega, trace.magnetic, trace.current))
+        force = (_flux_hat(u, w, b, j, grid), _source_hat(u, b, grid))
         if m > 0:
-            wt = VectorField(grid, wt.values - _inv(_duhamel_hat(flux_hats, mesh, m, grid)))
-            jt = VectorField(grid, jt.values - _inv(_duhamel_hat(src_hats, mesh, m, grid)))
-        new_omega.append(wt)
-        new_current.append(jt)
-    return MhdTrace.from_vorticity(mesh, new_omega, new_current)
+            mult = _step_multipliers(k2, t - mesh.nodes[m - 1], mesh.quad_order)
+            for a, fp, fn in zip(acc, prev, force):
+                _duhamel_step(a, fp, fn, mult)
+        prev = force
+        heat = np.exp(-t * k2)
+        _fill_node(heat * w0h - acc[0], grid, t, out[0, m], out[1, m], "omega")
+        _fill_node(heat * j0h - acc[1], grid, t, out[2, m], out[3, m], "current")
+    omega, velocity, current, magnetic = (tuple(VectorField(grid, v) for v in block) for block in out)
+    return MhdTrace(mesh, omega, current, velocity, magnetic)
 
 
 def trace_distance(a: MhdTrace, b: MhdTrace) -> float:
     """Max over nodes of the L2 distances of the vorticity and current iterates."""
     best = 0.0
     for wa, wb, ja, jb in zip(a.omega, b.omega, a.current, b.current):
-        dw = lp_norm(VectorField(wa.grid, wa.values - wb.values), 2)
-        dj = lp_norm(VectorField(ja.grid, ja.values - jb.values), 2)
-        best = max(best, dw + dj)
+        dw, dj = wa.values - wb.values, ja.values - jb.values
+        _require_finite("trace difference", dw, dj)
+        best = max(best, lp_norm(VectorField(wa.grid, dw), 2) + lp_norm(VectorField(ja.grid, dj), 2))
     return best
 
 
@@ -306,23 +370,30 @@ def run_picard(
     Convergence is declared when the successive-difference norm drops to
     ``tol``; running out of sweeps returns the last trace with
     ``converged=False`` (the smallness regime was left, or the horizon is too
-    long for a contraction).
+    long for a contraction).  A sweep whose iterate, distance or seminorms
+    are not finite ends the iteration with a ``delta = inf`` record and
+    returns the last finite trace.
     """
     if tol <= 0:
         raise ValueError("tolerance must be positive")
+    _same_grid(w0, j0)
     trace = heat_flow_trace(w0, j0, mesh)
     records = []
     converged = False
     for k in range(1, max_sweeps + 1):
         try:
-            new = picard_sweep(trace, w0, j0)
-        except (ValueError, FloatingPointError):
-            # iterates left the representable range: report divergence, keep
-            # the last finite trace
+            # overflow is reported by the finiteness checks, not by warnings
+            with np.errstate(over="ignore", invalid="ignore"):
+                new = picard_sweep(trace, w0, j0)
+                delta = trace_distance(new, trace)
+                _require_finite(f"sweep {k} distance", delta)
+                sem = weighted_seminorms(new, p, q, sampling) if report_seminorms else None
+                if sem is not None:
+                    _require_finite(f"sweep {k} seminorms", list(sem.as_dict().values()))
+        except DivergenceError:
+            # report divergence, keep the last finite trace
             records.append(SweepRecord(index=k, delta=math.inf, seminorms=None))
             break
-        delta = trace_distance(new, trace)
-        sem = weighted_seminorms(new, p, q, sampling) if report_seminorms else None
         records.append(SweepRecord(index=k, delta=delta, seminorms=sem))
         trace = new
         if delta <= tol:
@@ -365,17 +436,14 @@ def reference_timestepper(
         raise ValueError(
             f"dt = {dt} does not resolve the fastest retained mode (need dt <= {1.0 / k2max:.3e})"
         )
-    tab = _tables(grid)
-    k2, kd, k2d = tab["k2"], tab["kd"], tab["k2d"]
-    inv_k2 = np.zeros_like(k2d)
-    np.divide(1.0, k2d, out=inv_k2, where=k2d > 0)
+    k2 = _tables(grid)["k2"]
 
     def nonlin(wh: np.ndarray, jh: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         if not nonlinear:
             z = np.zeros_like(wh)
             return z, z
-        uh = _curl_hat(wh * inv_k2[None], kd)
-        bh = _curl_hat(jh * inv_k2[None], kd)
+        uh = _biot_savart_hat(wh, grid)
+        bh = _biot_savart_hat(jh, grid)
         u, w, b, j = (_inv(h) for h in (uh, wh, bh, jh))
         return -_flux_hat(u, w, b, j, grid), -_source_hat(u, b, grid)
 

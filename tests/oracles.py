@@ -6,7 +6,7 @@ path of the package, so agreement is meaningful.
 
 import numpy as np
 
-from mhdlab.fields import Field, Grid, _magnitude_values
+from mhdlab.fields import Field, Grid, _fwd, _inv, _magnitude_values, _tables
 from mhdlab.morrey import MorreyParams
 
 
@@ -96,3 +96,27 @@ def fine_radii(grid: Grid, per_octave: int = 4) -> list[float]:
             return out
         out.append(r)
         m += 1
+
+
+def duhamel_direct(forcings, mesh, t: float) -> np.ndarray:
+    """O(M^2) Duhamel quadrature up to mesh node ``t``, summed over every subinterval afresh.
+
+    The forcing is linearly interpolated between nodes and the heat factor
+    ``exp(-(t - s)|k|^2)`` is evaluated at the Gauss-Legendre abscissae ``s``
+    of each subinterval; returns the physical values of the integral.
+    """
+    m = mesh.node_index(t)
+    grid = forcings[0].grid
+    k2 = _tables(grid)["k2"]
+    hats = [_fwd(f.values) for f in forcings[: m + 1]]
+    xi, wi = np.polynomial.legendre.leggauss(mesh.quad_order)
+    acc = np.zeros_like(hats[0])
+    for a in range(m):
+        ta, tb = mesh.nodes[a], mesh.nodes[a + 1]
+        half = 0.5 * (tb - ta)
+        for x, wq in zip(xi, wi):
+            s = 0.5 * (ta + tb) + half * x
+            frac = (s - ta) / (tb - ta)
+            heat = np.exp(-(t - s) * k2)
+            acc += (wq * half) * heat * ((1.0 - frac) * hats[a] + frac * hats[a + 1])
+    return _inv(acc)

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from mhdlab.cli import main
-from mhdlab.field_io import write_field
+from mhdlab.field_io import read_field, write_field
 from mhdlab.fields import ScalarField, make_grid
 from mhdlab.kernels import gaussian_bump
 from mhdlab.morrey import MorreyParams
@@ -82,6 +82,42 @@ class TestSimulate:
         assert main(["simulate", "--config", str(path), "--seed", "11"]) == 0
         manifest = json.loads((tmp_path / "out" / "manifest.json").read_text())
         assert manifest["config"]["data"]["seed"] == 11
+
+    def test_seed_override_keeps_coupled_fields_apart(self, tmp_path):
+        data = {
+            "omega": {"family": "random_divfree", "seed": 3, "cutoff": 4, "amplitude": 1e-3},
+            "j": {"family": "random_divfree", "seed": 3, "cutoff": 4, "amplitude": 1e-3},
+        }
+        path, _ = _config(tmp_path, data=data)
+        assert main(["simulate", "--config", str(path), "--seed", "7"]) == 0
+        out = tmp_path / "out"
+        manifest = json.loads((out / "manifest.json").read_text())
+        seeds = {key: manifest["config"]["data"][key]["seed"] for key in ("omega", "j")}
+        assert seeds == {"omega": 7, "j": 8}
+        w0 = read_field(out / "omega_0000.mhf").values
+        j0 = read_field(out / "current_0000.mhf").values
+        assert np.abs(w0 - j0).max() > 0.1 * np.abs(w0).max()
+
+    def test_diverging_run_exits_2_with_manifest(self, tmp_path, capsys):
+        path, _ = _config(
+            tmp_path,
+            grid={"n": 16, "l": 2 * math.pi},
+            data={
+                "omega": {"family": "random_divfree", "seed": 11, "cutoff": 4, "amplitude": 30.0},
+                "j": {"family": "random_divfree", "seed": 12, "cutoff": 4, "amplitude": 30.0},
+            },
+            tolerances={"picard_tol": 1e-14, "max_sweeps": 20},
+        )
+        assert main(["simulate", "--config", str(path)]) == 2
+        assert "diverged" in capsys.readouterr().err
+        out = tmp_path / "out"
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["converged"] is False
+        assert manifest["sweeps"][-1]["delta"] == math.inf
+        assert manifest["sweep_count"] < 20
+        nodes = len(manifest["config"]["mesh"]["nodes"])
+        assert len((out / "series.csv").read_text().splitlines()) == 1 + nodes
+        assert np.isfinite(read_field(out / f"omega_{nodes - 1:04d}.mhf").values).all()
 
     def test_large_amplitude_reports_nonconvergence(self, tmp_path, capsys):
         path, _ = _config(

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from mhdlab.fields import ScalarField, VectorField, divergence, lp_norm, make_grid
+from mhdlab.fields import ScalarField, VectorField, curl, divergence, lp_norm, make_grid
 from mhdlab.initial_data import generate_initial_data
 from mhdlab.kernels import heat_propagate
 from mhdlab.mild import (
@@ -26,6 +26,7 @@ from mhdlab.mild import (
 )
 
 from .conftest import rel_max_err, solenoidal_vector
+from .oracles import duhamel_direct
 
 
 def _zero(grid):
@@ -138,16 +139,15 @@ class TestCurrentSource:
         assert np.abs(current_source(u, _zero(grid32)).values).max() == 0.0
 
     def test_double_curl_identity(self, grid32):
-        # (u.grad)b - (b.grad)u = -curl(u x b) for solenoidal pairs
-        from mhdlab.fields import curl, dealias_field
-
+        # (u.grad)b - (b.grad)u = -curl(u x b) for solenoidal pairs: the
+        # double-curl source must match the curl of the gradient form
+        z = _zero(grid32)
         for seed in range(3):
             u = solenoidal_vector(grid32, 600 + seed)
             b = solenoidal_vector(grid32, 700 + seed)
             src = current_source(u, b)
-            cross = dealias_field(VectorField(grid32, np.cross(u.values, b.values, axis=0)))
-            alt = curl(curl(cross))
-            assert rel_max_err(src.values, -alt.values) <= 1e-10
+            grad_form = curl(stretching_form(u, b, z, z))
+            assert rel_max_err(src.values, grad_form.values) <= 1e-10
 
     def test_stretching_self_cancellation(self, grid32):
         u = solenoidal_vector(grid32, 9)
@@ -186,6 +186,16 @@ class TestDuhamel:
         expected = 1.0 * math.exp(-1) * np.sin(x1)
         assert np.abs(out.values[2] - expected).max() <= 1e-6
 
+    @pytest.mark.parametrize(
+        "mesh", [TimeMesh.uniform(0.5, 9), TimeMesh.graded(1.0, 9)], ids=["uniform", "graded"]
+    )
+    def test_recursion_matches_direct_sum(self, grid16, mesh):
+        # time-varying solenoidal forcing, every node of the mesh
+        forcing = [solenoidal_vector(grid16, 800 + m) for m in range(len(mesh.nodes))]
+        for t in mesh.nodes[1:]:
+            fast = duhamel_integral(forcing, mesh, t).values
+            assert rel_max_err(fast, duhamel_direct(forcing, mesh, t)) <= 1e-13
+
     def test_rejects_non_node_time(self):
         g = make_grid(8, 2 * math.pi)
         mesh = TimeMesh.uniform(1.0, 5)
@@ -211,24 +221,33 @@ class TestPicardSweep:
             assert all(np.abs(j.values).max() == 0.0 for j in trace.current)
             assert all(np.abs(b.values).max() == 0.0 for b in trace.magnetic)
 
-    def test_first_sweep_matches_hand_assembly(self, grid32):
-        w0, j0 = _coupled_data(grid32, amplitude=1e-2)
-        mesh = TimeMesh.uniform(0.5, 9)
+    @staticmethod
+    def _check_first_sweep(grid, mesh):
+        w0, j0 = _coupled_data(grid, amplitude=1e-2)
         trace0 = heat_flow_trace(w0, j0, mesh)
         swept = picard_sweep(trace0, w0, j0)
+        z = _zero(grid)
         flux = [
             vorticity_flux(u, w, b, j)
             for u, w, b, j in zip(trace0.velocity, trace0.omega, trace0.magnetic, trace0.current)
         ]
-        src = [current_source(u, b) for u, b in zip(trace0.velocity, trace0.magnetic)]
+        # gradient-form source and the direct quadrature: independent of the sweep's paths
+        src = [curl(stretching_form(u, b, z, z)) for u, b in zip(trace0.velocity, trace0.magnetic)]
         for m, t in enumerate(mesh.nodes):
             expected_w = heat_propagate(w0, t).values
             expected_j = heat_propagate(j0, t).values
             if m > 0:
-                expected_w = expected_w - duhamel_integral(flux, mesh, t).values
-                expected_j = expected_j - duhamel_integral(src, mesh, t).values
+                expected_w = expected_w - duhamel_direct(flux, mesh, t)
+                expected_j = expected_j - duhamel_direct(src, mesh, t)
             assert rel_max_err(swept.omega[m].values, expected_w) <= 1e-12
             assert rel_max_err(swept.current[m].values, expected_j) <= 1e-12
+            assert rel_max_err(curl(swept.velocity[m]).values, swept.omega[m].values) <= 1e-12
+
+    def test_first_sweep_matches_hand_assembly(self, grid32):
+        self._check_first_sweep(grid32, TimeMesh.uniform(0.5, 9))
+
+    def test_first_sweep_matches_hand_assembly_graded(self, grid32):
+        self._check_first_sweep(grid32, TimeMesh.graded(0.5, 9))
 
     def test_magnetic_only_first_sweep(self, grid32):
         # zero vorticity start: no velocity, so the current evolves by pure
@@ -308,6 +327,42 @@ class TestRunPicard:
             fb = getattr(b, field)[-1]
             rel = lp_norm(VectorField(grid32, fa.values - fb.values), 2) / lp_norm(fa, 2)
             assert rel <= 2e-5
+
+    def test_divergence_keeps_last_finite_trace(self):
+        # amplitude 30 overflows after about ten sweeps
+        grid = make_grid(16, 2 * math.pi)
+        spec = {
+            "omega": {"family": "random_divfree", "seed": 11, "cutoff": 4, "amplitude": 30.0},
+            "j": {"family": "random_divfree", "seed": 12, "cutoff": 4, "amplitude": 30.0},
+        }
+        w0, j0 = generate_initial_data(spec, grid)
+        trace, report = run_picard(w0, j0, TimeMesh.uniform(1.0, 9), tol=1e-14, max_sweeps=20)
+        assert not report.converged
+        assert report.sweep_count < 20
+        assert report.deltas[-1] == math.inf and report.sweeps[-1].seminorms is None
+        assert all(math.isfinite(d) for d in report.deltas[:-1])
+        assert all(np.isfinite(w.values).all() for w in trace.omega)
+
+    def test_sweep_errors_are_not_divergence(self, grid32, monkeypatch):
+        import mhdlab.mild as mild
+
+        w0, j0 = _coupled_data(grid32)
+        mesh = TimeMesh.uniform(0.5, 3)
+
+        def broken(*_args):
+            raise ValueError("a bug, not a divergence")
+
+        for name in ("picard_sweep", "weighted_seminorms"):
+            with monkeypatch.context() as patch:
+                patch.setattr(mild, name, broken)
+                with pytest.raises(ValueError, match="a bug"):
+                    run_picard(w0, j0, mesh)
+
+    def test_grid_mismatch_propagates(self, grid32, grid16):
+        w0, _ = _coupled_data(grid32)
+        _, j0 = _coupled_data(grid16)
+        with pytest.raises(ValueError, match="different grids"):
+            run_picard(w0, j0, TimeMesh.uniform(0.5, 3))
 
     def test_large_data_reports_nonconvergence(self, grid32):
         spec = {
