@@ -31,7 +31,6 @@ from .fields import (  # noqa: F401
     to_spectral,
 )
 from .kernels import (  # noqa: F401
-    HeatParams,
     biot_savart,
     heat_grad_propagate,
     heat_propagate,

@@ -251,13 +251,6 @@ def dealias_field(f: Field) -> Field:
     return type(f)(f.grid, out)
 
 
-def pointwise_magnitude(f: Field) -> ScalarField:
-    """Pointwise Euclidean magnitude; identity-like (abs) for scalars."""
-    if isinstance(f, ScalarField):
-        return ScalarField(f.grid, np.abs(f.values))
-    return ScalarField(f.grid, np.sqrt(np.sum(f.values**2, axis=0)))
-
-
 def _magnitude_values(f: Field) -> np.ndarray:
     if isinstance(f, ScalarField):
         return np.abs(f.values)
@@ -285,10 +278,6 @@ def mean_value(f: ScalarField) -> float:
 
 def max_norm(f: Field) -> float:
     return float(_magnitude_values(f).max())
-
-
-def zero_scalar(grid: Grid) -> ScalarField:
-    return ScalarField(grid, np.zeros((grid.n,) * 3))
 
 
 def zero_vector(grid: Grid) -> VectorField:

@@ -7,7 +7,6 @@ with each other and with the differential operators in :mod:`mhdlab.fields`.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -24,21 +23,6 @@ from .fields import (
 
 #: divergence-free input tolerance, relative to the field's max magnitude
 SOLENOIDAL_TOL = 1e-8
-
-
-@dataclass(frozen=True)
-class HeatParams:
-    """Diffusion parameters: time and the (unit by default) nu/eta coefficients."""
-
-    t: float
-    nu: float = 1.0
-    eta: float = 1.0
-
-    def __post_init__(self) -> None:
-        if self.t < 0:
-            raise ValueError(f"time must be nonnegative, got {self.t}")
-        if self.nu <= 0 or self.eta <= 0:
-            raise ValueError("nu and eta must be positive")
 
 
 def heat_propagate(f: Field, t: float, nu: float = 1.0) -> Field:
@@ -123,19 +107,18 @@ def riesz_potential(f: ScalarField, delta: float) -> ScalarField:
 
 def gaussian_bump(grid, sigma: float, center: tuple[float, float, float] | None = None,
                   images: int = 3) -> ScalarField:
-    """Periodized unit-mass Gaussian of width ``sigma`` (image sum over ``images`` shells)."""
+    """Periodized unit-mass Gaussian of width ``sigma`` (image sum over ``images`` shells).
+
+    The sum over the image shifts ``{-images, ..., images}**3`` factors into the
+    product of one image sum per axis.
+    """
     if sigma <= 0:
         raise ValueError("sigma must be positive")
+    if images < 0:
+        raise ValueError(f"images must be nonnegative, got {images}")
     c = center if center is not None else (grid.l / 2,) * 3
-    x1, x2, x3 = grid.meshgrid()
+    x = grid.axis()[:, None]
+    shifts = np.arange(-images, images + 1) * grid.l
+    g1, g2, g3 = (np.exp(-((x - ci - shifts) ** 2) / (2.0 * sigma**2)).sum(axis=1) for ci in c)
     amp = (2.0 * math.pi * sigma**2) ** -1.5
-    out = np.zeros((grid.n,) * 3)
-    rng = range(-images, images + 1)
-    for m1 in rng:
-        d1 = (x1 - c[0] - m1 * grid.l) ** 2
-        for m2 in rng:
-            d2 = (x2 - c[1] - m2 * grid.l) ** 2
-            for m3 in rng:
-                d3 = (x3 - c[2] - m3 * grid.l) ** 2
-                out += np.exp(-(d1 + d2 + d3) / (2.0 * sigma**2))
-    return ScalarField(grid, amp * out)
+    return ScalarField(grid, (amp * g1)[:, None, None] * g2[None, :, None] * g3[None, None, :])

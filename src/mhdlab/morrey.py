@@ -28,9 +28,11 @@ from .fields import (
     Grid,
     ScalarField,
     VectorField,
+    _fwd,
+    _inv,
     _magnitude_values,
+    _tables,
     _workers,
-    gradient,
 )
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -101,10 +103,10 @@ def ball_cell_count(grid: Grid, r: float) -> int:
     return _ball_kernel(grid.n, grid.l, r)[1]
 
 
-def _candidates(f: Field, mp: MorreyParams, sampling: BallSampling):
-    """Yield (value, center_index_tuple_or_None, radius) candidates for the sup."""
-    grid = f.grid
-    g = _magnitude_values(f) ** mp.p * grid.spacing**3
+def _candidates(grid: Grid, mag: np.ndarray, mp: MorreyParams, sampling: BallSampling):
+    """Yield (value, center_index_tuple_or_None, radius) candidates for the sup of ``mag``."""
+    g = mag ** mp.p * grid.spacing**3
+    del mag  # the generator's frame would keep it alive through the radius loop
     ghat = _sfft.rfftn(g, workers=_workers())
     st = sampling.stride
     for r in sampling.radii(grid):
@@ -121,7 +123,7 @@ def _candidates(f: Field, mp: MorreyParams, sampling: BallSampling):
 
 def morrey_norm(f: Field, mp: MorreyParams, sampling: BallSampling = BallSampling()) -> float:
     """Discretized Morrey norm: max over sampled centers and radii of the scaled ball mass."""
-    return max(v for v, _, _ in _candidates(f, mp, sampling))
+    return max(v for v, _, _ in _candidates(f.grid, _magnitude_values(f), mp, sampling))
 
 
 def morrey_norm_detail(
@@ -132,7 +134,7 @@ def morrey_norm_detail(
     The whole-box candidate (zero scaling exponent only) is reported with
     radius ``inf`` and the origin as center.
     """
-    best = max(_candidates(f, mp, sampling), key=lambda c: c[0])
+    best = max(_candidates(f.grid, _magnitude_values(f), mp, sampling), key=lambda c: c[0])
     val, idx, r = best
     h = f.grid.spacing
     center = (0.0, 0.0, 0.0) if idx is None else tuple(h * i for i in idx)
@@ -159,11 +161,13 @@ class WeightedSeminorms:
         }
 
 
-def _gradient_magnitude(v: VectorField) -> ScalarField:
+def _gradient_norm(v: VectorField, mp: MorreyParams, sampling: BallSampling) -> float:
+    """Morrey norm of ``|grad v|``; a gradient that overflows gives a non-finite norm, not an error."""
+    kd = _tables(v.grid)["kd"]
     acc = np.zeros((v.grid.n,) * 3)
     for i in range(3):
-        acc += np.sum(gradient(v.component(i)).values ** 2, axis=0)
-    return ScalarField(v.grid, np.sqrt(acc))
+        acc += np.sum(_inv(1j * kd * _fwd(v.values[i])[None]) ** 2, axis=0)
+    return max(val for val, _, _ in _candidates(v.grid, np.sqrt(acc, out=acc), mp, sampling))
 
 
 def _sup_weighted(nodes, values, exponent) -> float:
@@ -204,8 +208,8 @@ def weighted_seminorms(
 
     om = [morrey_norm(w, mp, sampling) for w in trace.omega]
     jm = [morrey_norm(j, mp, sampling) for j in trace.current]
-    om_g = [morrey_norm(_gradient_magnitude(w), mp, sampling) for w in trace.omega]
-    jm_g = [morrey_norm(_gradient_magnitude(j), mp, sampling) for j in trace.current]
+    om_g = [_gradient_norm(w, mp, sampling) for w in trace.omega]
+    jm_g = [_gradient_norm(j, mp, sampling) for j in trace.current]
 
     return WeightedSeminorms(
         w0=_sup_weighted(nodes, om, e0),

@@ -4,9 +4,11 @@ These recompute quantities by direct summation, away from the FFT-convolution
 path of the package, so agreement is meaningful.
 """
 
+import math
+
 import numpy as np
 
-from mhdlab.fields import Field, Grid, _fwd, _inv, _magnitude_values, _tables
+from mhdlab.fields import Field, Grid, ScalarField, _fwd, _inv, _magnitude_values, _tables
 from mhdlab.morrey import MorreyParams
 
 
@@ -120,3 +122,23 @@ def duhamel_direct(forcings, mesh, t: float) -> np.ndarray:
             heat = np.exp(-(t - s) * k2)
             acc += (wq * half) * heat * ((1.0 - frac) * hats[a] + frac * hats[a + 1])
     return _inv(acc)
+
+
+def gaussian_bump_direct(grid, sigma: float, center: tuple[float, float, float] | None = None,
+                         images: int = 3) -> ScalarField:
+    """Periodized unit-mass Gaussian summed image by image over the full grid."""
+    if sigma <= 0:
+        raise ValueError("sigma must be positive")
+    c = center if center is not None else (grid.l / 2,) * 3
+    x1, x2, x3 = grid.meshgrid()
+    amp = (2.0 * math.pi * sigma**2) ** -1.5
+    out = np.zeros((grid.n,) * 3)
+    rng = range(-images, images + 1)
+    for m1 in rng:
+        d1 = (x1 - c[0] - m1 * grid.l) ** 2
+        for m2 in rng:
+            d2 = (x2 - c[1] - m2 * grid.l) ** 2
+            for m3 in rng:
+                d3 = (x3 - c[2] - m3 * grid.l) ** 2
+                out += np.exp(-(d1 + d2 + d3) / (2.0 * sigma**2))
+    return ScalarField(grid, amp * out)

@@ -15,7 +15,6 @@ from mhdlab.fields import (
     make_grid,
 )
 from mhdlab.kernels import (
-    HeatParams,
     biot_savart,
     gaussian_bump,
     heat_grad_propagate,
@@ -25,6 +24,7 @@ from mhdlab.kernels import (
 )
 
 from .conftest import band_limited_scalar, rel_max_err, solenoidal_vector
+from .oracles import gaussian_bump_direct
 
 # measured once: sqrt(t) * sup|T2 f| / sup|T1 f| for the sigma=0.3 unit bump
 T2_DECAY_TABLE = {
@@ -212,10 +212,22 @@ class TestRieszPotential:
             riesz_potential(f, 1.0)
 
 
-def test_heat_params_validation():
-    HeatParams(0.0)
-    HeatParams(1.0, nu=2.0, eta=0.5)
-    with pytest.raises(ValueError):
-        HeatParams(-1.0)
-    with pytest.raises(ValueError):
-        HeatParams(1.0, nu=0.0)
+class TestGaussianBump:
+    @pytest.mark.parametrize("images", [0, 1, 3])
+    @pytest.mark.parametrize("center", [None, (0.3, 1.1, 5.9)])
+    @pytest.mark.parametrize("sigma", [0.1, 0.3, 0.5, 1.0, 2.0])
+    @pytest.mark.parametrize("n", [8, 16, 32])
+    def test_matches_image_by_image_sum(self, n, sigma, center, images):
+        g = make_grid(n, 2 * math.pi)
+        fast = gaussian_bump(g, sigma, center, images)
+        direct = gaussian_bump_direct(g, sigma, center, images)
+        assert rel_max_err(fast.values, direct.values) <= 1e-14
+
+    def test_unit_mass(self, grid32):
+        bump = gaussian_bump(grid32, 0.3)
+        assert abs(bump.values.sum() * grid32.spacing**3 - 1.0) <= 1e-12
+
+    @pytest.mark.parametrize("sigma, images", [(0.0, 3), (-0.3, 3), (0.3, -1)])
+    def test_rejects_bad_arguments(self, grid16, sigma, images):
+        with pytest.raises(ValueError):
+            gaussian_bump(grid16, sigma, images=images)

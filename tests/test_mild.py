@@ -343,6 +343,18 @@ class TestRunPicard:
         assert all(math.isfinite(d) for d in report.deltas[:-1])
         assert all(np.isfinite(w.values).all() for w in trace.omega)
 
+    def test_seminorm_overflow_is_divergence(self, grid16):
+        # a shear flow: the nonlinear terms vanish, so the sweep and the
+        # distance stay finite while the gradient seminorms overflow
+        x1 = grid16.meshgrid()[0]
+        zero = np.zeros_like(x1)
+        w0 = VectorField(grid16, 6e152 * np.stack([zero, -5 * np.cos(5 * x1), zero]))
+        j0 = VectorField(grid16, np.zeros((3, 16, 16, 16)))
+        trace, report = run_picard(w0, j0, TimeMesh.uniform(0.5, 3), p=1.9, q=2.0)
+        assert not report.converged
+        assert report.deltas == (math.inf,) and report.sweeps[0].seminorms is None
+        assert all(np.isfinite(w.values).all() for w in trace.omega)
+
     def test_sweep_errors_are_not_divergence(self, grid32, monkeypatch):
         import mhdlab.mild as mild
 

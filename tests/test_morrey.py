@@ -200,6 +200,19 @@ class TestWeightedSeminorms:
         with pytest.raises(ValueError):
             weighted_seminorms(trace, 1.0, 1.0)  # 2p + q = 3
 
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_gradient_overflow_gives_nonfinite_seminorm(self, grid16):
+        # finite iterates whose gradients overflow: (p, q) = (1.9, 2) keeps the
+        # undifferentiated norms finite, so only the gradient variants overflow
+        x1, x2, x3 = grid16.meshgrid()
+        shape = np.stack([np.sin(3 * x2), np.sin(3 * x3), np.sin(3 * x1)])
+        mesh = TimeMesh.uniform(1.0, 5)
+        for amp, finite in ((1e150, True), (3.2e153, False)):
+            w = VectorField(grid16, amp * shape)
+            sem = weighted_seminorms(heat_flow_trace(w, w, mesh), 1.9, 2.0)
+            assert math.isfinite(sem.w0_bar) and math.isfinite(sem.j0_bar)
+            assert all(math.isfinite(v) for v in sem.as_dict().values()) == finite
+
 
 class TestSmoothingScan:
     def test_same_exponent_bounded(self, grid32):
