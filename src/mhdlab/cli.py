@@ -29,7 +29,14 @@ from pathlib import Path
 from .field_io import read_field, write_field
 from .fields import lp_norm, make_grid
 from .initial_data import generate_initial_data, initial_size_report
-from .mild import TimeMesh, max_retained_k2, reference_timestepper, run_picard, trace_distance
+from .mild import (
+    DivergenceError,
+    TimeMesh,
+    max_retained_k2,
+    reference_timestepper,
+    run_picard,
+    trace_distance,
+)
 from .morrey import BallSampling, MorreyParams, morrey_norm, morrey_norm_detail
 from .theory import ConstantsLedger, RegionQuery, e2_witness_search, region_a1, region_a2, region_e1
 from .verify import run_suite
@@ -298,7 +305,9 @@ def main(argv=None) -> int:
     }
     try:
         return handlers[args.command](args)
-    except (ValueError, OSError, RuntimeError, json.JSONDecodeError) as exc:
+    # run_picard reports diverging sweeps itself; a DivergenceError that gets
+    # here comes from data whose heat flow or Heun oracle overflows
+    except (ValueError, OSError, RuntimeError, json.JSONDecodeError, DivergenceError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -5,6 +5,13 @@ periodic boundary conditions.  Differential operators are evaluated through the
 discrete Fourier transform, which makes them exact (to round-off) for
 band-limited data.  Physical arrays are float64 and indexed ``[i1, i2, i3]``
 with axis 0 along the first coordinate.
+
+The private spectral layer (``_fwd``, ``_inv``, ``_tables``) that every
+operator of the package runs on uses the real-FFT half spectrum of shape
+``(..., n, n, n//2 + 1)``: the last axis keeps the wavenumbers ``0..n/2``, and
+the other half follows from ``c(-k) == conj(c(k))``.  The public
+:class:`SpectralField` (``to_spectral``, ``to_physical``, ``dealias``) keeps
+the full ``(n, n, n)`` spectrum.
 """
 
 from __future__ import annotations
@@ -63,35 +70,40 @@ def make_grid(n: int, l: float) -> Grid:
     return Grid(n, l)
 
 
+def _retained(n: int) -> np.ndarray:
+    """Per-axis 2/3-rule mask over the wavenumbers in numpy FFT order."""
+    return np.abs(np.fft.fftfreq(n, d=1.0 / n)) <= n / 3.0
+
+
 @lru_cache(maxsize=32)
 def _spectral_tables(n: int, l: float):
-    """Precomputed wavevector arrays for a grid.
+    """Precomputed wavevector arrays on the real-FFT half grid.
 
-    Returns a dict with:
-      kd    -- (3, n, n, n) derivative wavevectors (Nyquist zeroed, odd operators)
-      k2    -- |k|**2 with the full Nyquist mode (even operators)
+    The last axis holds the wavenumbers ``0..n/2`` only.  Returns a dict with:
+      kd    -- (3, n, n, n//2+1) derivative wavevectors (Nyquist zeroed, odd operators)
+      k2    -- (n, n, n//2+1) |k|**2 with the full Nyquist mode (even operators)
       k2d   -- |kd|**2 of the derivative wavevectors
       inv_k2d -- 1/k2d, zero where k2d vanishes (curl inversion)
       keep  -- boolean 2/3-rule mask (True where the mode is retained)
     """
+    half = n // 2 + 1
     kint = np.fft.fftfreq(n, d=1.0 / n)  # integer wavenumbers as floats
     scale = 2.0 * math.pi / l
     k1 = scale * kint
-    kx, ky, kz = np.meshgrid(k1, k1, k1, indexing="ij")
+    kx, ky, kz = np.meshgrid(k1, k1, k1[:half], indexing="ij")
     k2 = kx**2 + ky**2 + kz**2
 
     # Odd-order operators need a real spectrum: drop the unpaired Nyquist mode.
     k1d = k1.copy()
     k1d[n // 2] = 0.0
-    kdx, kdy, kdz = np.meshgrid(k1d, k1d, k1d, indexing="ij")
+    kdx, kdy, kdz = np.meshgrid(k1d, k1d, k1d[:half], indexing="ij")
     kd = np.stack([kdx, kdy, kdz])
     k2d = kdx**2 + kdy**2 + kdz**2
     inv_k2d = np.zeros_like(k2d)
     np.divide(1.0, k2d, out=inv_k2d, where=k2d > 0)
 
-    cutoff = n / 3.0
-    ax = np.abs(kint) <= cutoff
-    keep = ax[:, None, None] & ax[None, :, None] & ax[None, None, :]
+    ax = _retained(n)
+    keep = ax[:, None, None] & ax[None, :, None] & ax[None, None, :half]
 
     for arr in (kd, k2, k2d, inv_k2d, keep):
         arr.setflags(write=False)
@@ -174,21 +186,24 @@ class SpectralField:
 
 
 def _fwd(values: np.ndarray) -> np.ndarray:
-    """Forward transform to per-mode coefficients of exp(i k.x)."""
-    return _sfft.fftn(values, axes=(-3, -2, -1), workers=_workers()) / values.shape[-1] ** 3
+    """Forward transform to the half spectrum of per-mode coefficients of exp(i k.x)."""
+    return _sfft.rfftn(values, axes=(-3, -2, -1), workers=_workers()) / values.shape[-1] ** 3
 
 
 def _inv(coeffs: np.ndarray) -> np.ndarray:
-    """Inverse of :func:`_fwd`, discarding the round-off imaginary part."""
-    return _sfft.ifftn(coeffs * coeffs.shape[-1] ** 3, axes=(-3, -2, -1), workers=_workers()).real
+    """Inverse of :func:`_fwd`: the real field of a half spectrum."""
+    n = coeffs.shape[-2]  # the last axis holds only n//2 + 1 modes
+    return _sfft.irfftn(coeffs * n**3, s=(n, n, n), axes=(-3, -2, -1), workers=_workers())
 
 
 def to_spectral(f: ScalarField) -> SpectralField:
-    return SpectralField(f.grid, _fwd(f.values))
+    """Full ``(n, n, n)`` spectrum of a real scalar field."""
+    return SpectralField(f.grid, _sfft.fftn(f.values, workers=_workers()) / f.grid.n**3)
 
 
 def to_physical(s: SpectralField) -> ScalarField:
-    return ScalarField(s.grid, _inv(s.coefficients))
+    """Inverse of :func:`to_spectral`, discarding the round-off imaginary part."""
+    return ScalarField(s.grid, _sfft.ifftn(s.coefficients * s.grid.n**3, workers=_workers()).real)
 
 
 def _same_grid(*fields: Field) -> Grid:
@@ -240,7 +255,8 @@ def project_div_free(v: VectorField) -> VectorField:
 
 def dealias(s: SpectralField) -> SpectralField:
     """Zero every mode with any ``|k_i| > n/3`` (2/3 rule); idempotent."""
-    keep = _tables(s.grid)["keep"]
+    ax = _retained(s.grid.n)
+    keep = ax[:, None, None] & ax[None, :, None] & ax[None, None, :]
     return SpectralField(s.grid, np.where(keep, s.coefficients, 0.0))
 
 

@@ -18,7 +18,8 @@ so every mesh, graded ones included, gets the same quadrature as the direct
 sum over all earlier subintervals.  The forcing of a node is computed inside
 that loop and dropped after the next step.  The new vorticity and current are
 ``exp(-t_m |k|^2) w0_hat - acc_m``; each field and its curl inverse come from
-that spectrum with one inverse transform each.
+that spectrum with one inverse transform each.  The zeroth iterate (the sweep
+with zero forcing) and the nodes of the Heun stepper are filled the same way.
 
 The current source is evaluated as ``-curl curl(dealias(u x b))``, which equals
 the curl of the dealiased ``(u.grad)b - (b.grad)u`` for band-limited solenoidal
@@ -43,7 +44,7 @@ from .fields import (
     _tables,
     lp_norm,
 )
-from .kernels import _biot_savart_hat, _require_solenoidal, biot_savart, heat_propagate
+from .kernels import _biot_savart_hat, _require_solenoidal, biot_savart
 from .morrey import BallSampling, WeightedSeminorms, weighted_seminorms
 
 
@@ -283,13 +284,6 @@ def duhamel_integral(forcings, mesh: TimeMesh, t: float) -> VectorField:
     return VectorField(grid, _inv(acc))
 
 
-def heat_flow_trace(w0: VectorField, j0: VectorField, mesh: TimeMesh) -> MhdTrace:
-    """The zeroth iterate: pure heat flow of the initial pair."""
-    omega = tuple(heat_propagate(w0, t) for t in mesh.nodes)
-    current = tuple(heat_propagate(j0, t) for t in mesh.nodes)
-    return MhdTrace.from_vorticity(mesh, omega, current)
-
-
 class DivergenceError(ArithmeticError):
     """The fixed-point iterates left the range of finite floating-point numbers."""
 
@@ -310,6 +304,33 @@ def _fill_node(hat: np.ndarray, grid: Grid, t: float, field: np.ndarray, potenti
     _require_solenoidal(field, hat, grid, f"{what} at t = {t}")
 
 
+def _trace_from_hats(mesh: TimeMesh, w0: VectorField, j0: VectorField, hats) -> MhdTrace:
+    """Build a trace from the vorticity and current spectra of every node.
+
+    ``hats`` yields ``(w_hat, j_hat)`` node by node, so a generator keeps only
+    the working arrays of one node alive; the node at t = 0 keeps the initial
+    data.  Every node goes through :func:`_fill_node`.
+    """
+    grid = w0.grid
+    # omega, velocity, current, magnetic of every node in one block, which is
+    # released whole with the trace instead of fragmenting the heap
+    out = np.empty((4, len(mesh.nodes)) + w0.values.shape)
+    out[0, 0], out[2, 0] = w0.values, j0.values
+    for m, (t, (wh, jh)) in enumerate(zip(mesh.nodes, hats)):
+        _fill_node(wh, grid, t, out[0, m], out[1, m], "omega")
+        _fill_node(jh, grid, t, out[2, m], out[3, m], "current")
+    omega, velocity, current, magnetic = (tuple(VectorField(grid, v) for v in block) for block in out)
+    return MhdTrace(mesh, omega, current, velocity, magnetic)
+
+
+def heat_flow_trace(w0: VectorField, j0: VectorField, mesh: TimeMesh) -> MhdTrace:
+    """The zeroth iterate: pure heat flow of the initial pair (a sweep with zero forcing)."""
+    k2 = _tables(_same_grid(w0, j0))["k2"]
+    w0h, j0h = _fwd(w0.values), _fwd(j0.values)
+    heat = (np.exp(-t * k2) for t in mesh.nodes)
+    return _trace_from_hats(mesh, w0, j0, ((e * w0h, e * j0h) for e in heat))
+
+
 def picard_sweep(trace: MhdTrace, w0: VectorField, j0: VectorField) -> MhdTrace:
     """One whole-trajectory fixed-point update.
 
@@ -323,25 +344,22 @@ def picard_sweep(trace: MhdTrace, w0: VectorField, j0: VectorField) -> MhdTrace:
     mesh = trace.mesh
     k2 = _tables(grid)["k2"]
     w0h, j0h = _fwd(w0.values), _fwd(j0.values)
-    # omega, velocity, current, magnetic of every node in one block, which is
-    # released whole with the trace instead of fragmenting the heap
-    out = np.empty((4, len(mesh.nodes)) + w0.values.shape)
-    out[0, 0], out[2, 0] = w0.values, j0.values
-    acc = (np.zeros_like(w0h), np.zeros_like(j0h))
-    prev = None
-    for m, t in enumerate(mesh.nodes):
-        u, w, b, j = (f[m].values for f in (trace.velocity, trace.omega, trace.magnetic, trace.current))
-        force = (_flux_hat(u, w, b, j, grid), _source_hat(u, b, grid))
-        if m > 0:
-            mult = _step_multipliers(k2, t - mesh.nodes[m - 1], mesh.quad_order)
-            for a, fp, fn in zip(acc, prev, force):
-                _duhamel_step(a, fp, fn, mult)
-        prev = force
-        heat = np.exp(-t * k2)
-        _fill_node(heat * w0h - acc[0], grid, t, out[0, m], out[1, m], "omega")
-        _fill_node(heat * j0h - acc[1], grid, t, out[2, m], out[3, m], "current")
-    omega, velocity, current, magnetic = (tuple(VectorField(grid, v) for v in block) for block in out)
-    return MhdTrace(mesh, omega, current, velocity, magnetic)
+
+    def new_hats():
+        acc = (np.zeros_like(w0h), np.zeros_like(j0h))
+        prev = None
+        for m, t in enumerate(mesh.nodes):
+            u, w, b, j = (f[m].values for f in (trace.velocity, trace.omega, trace.magnetic, trace.current))
+            force = (_flux_hat(u, w, b, j, grid), _source_hat(u, b, grid))
+            if m > 0:
+                mult = _step_multipliers(k2, t - mesh.nodes[m - 1], mesh.quad_order)
+                for a, fp, fn in zip(acc, prev, force):
+                    _duhamel_step(a, fp, fn, mult)
+            prev = force
+            heat = np.exp(-t * k2)
+            yield heat * w0h - acc[0], heat * j0h - acc[1]
+
+    return _trace_from_hats(mesh, w0, j0, new_hats())
 
 
 def trace_distance(a: MhdTrace, b: MhdTrace) -> float:
@@ -413,6 +431,19 @@ def max_retained_k2(grid: Grid) -> float:
     return float(t["k2d"][t["keep"]].max())
 
 
+def _spectral_l2(*hats: np.ndarray) -> float:
+    """Square root of the summed mean squares of real fields, from their half spectra (Parseval).
+
+    Every interior plane of the last axis also stands for its conjugate twin,
+    so it counts twice; the planes at wavenumber 0 and n/2 count once.
+    """
+    total = 0.0
+    for h in hats:
+        sq = h.real**2 + h.imag**2
+        total += 2.0 * np.sum(sq) - np.sum(sq[..., 0]) - np.sum(sq[..., -1])
+    return float(np.sqrt(total))
+
+
 def reference_timestepper(
     w0: VectorField,
     j0: VectorField,
@@ -447,33 +478,30 @@ def reference_timestepper(
         u, w, b, j = (_inv(h) for h in (uh, wh, bh, jh))
         return -_flux_hat(u, w, b, j, grid), -_source_hat(u, b, grid)
 
-    def l2(wh: np.ndarray, jh: np.ndarray) -> float:
-        return float(np.sqrt(np.sum(np.abs(wh) ** 2) + np.sum(np.abs(jh) ** 2)))
+    def node_hats():
+        wh = _fwd(w0.values)
+        jh = _fwd(j0.values)
+        yield wh, jh
+        for a in range(len(mesh.nodes) - 1):
+            ta, tb = mesh.nodes[a], mesh.nodes[a + 1]
+            nsub = max(1, math.ceil((tb - ta) / dt - 1e-12))
+            h = (tb - ta) / nsub
+            decay = np.exp(-h * k2)
+            for _ in range(nsub):
+                size0 = _spectral_l2(wh, jh)
+                nw0, nj0 = nonlin(wh, jh)
+                wh_star = decay * (wh + h * nw0)
+                jh_star = decay * (jh + h * nj0)
+                nw1, nj1 = nonlin(wh_star, jh_star)
+                wh = decay * wh + 0.5 * h * (decay * nw0 + nw1)
+                jh = decay * jh + 0.5 * h * (decay * nj0 + nj1)
+                if _spectral_l2(wh, jh) > 10.0 * max(size0, np.finfo(float).tiny):
+                    raise RuntimeError(
+                        f"unstable step at t in [{ta}, {tb}]: norm grew more than 10x in one step"
+                    )
+            yield wh, jh
 
-    wh = _fwd(w0.values)
-    jh = _fwd(j0.values)
-    omega = [w0]
-    current = [j0]
-    for a in range(len(mesh.nodes) - 1):
-        ta, tb = mesh.nodes[a], mesh.nodes[a + 1]
-        nsub = max(1, math.ceil((tb - ta) / dt - 1e-12))
-        h = (tb - ta) / nsub
-        decay = np.exp(-h * k2)
-        for _ in range(nsub):
-            size0 = l2(wh, jh)
-            nw0, nj0 = nonlin(wh, jh)
-            wh_star = decay * (wh + h * nw0)
-            jh_star = decay * (jh + h * nj0)
-            nw1, nj1 = nonlin(wh_star, jh_star)
-            wh = decay * wh + 0.5 * h * (decay * nw0 + nw1)
-            jh = decay * jh + 0.5 * h * (decay * nj0 + nj1)
-            if l2(wh, jh) > 10.0 * max(size0, np.finfo(float).tiny):
-                raise RuntimeError(
-                    f"unstable step at t in [{ta}, {tb}]: norm grew more than 10x in one step"
-                )
-        omega.append(VectorField(grid, _inv(wh)))
-        current.append(VectorField(grid, _inv(jh)))
-    return MhdTrace.from_vorticity(mesh, omega, current)
+    return _trace_from_hats(mesh, w0, j0, node_hats())
 
 
 @dataclass(frozen=True)

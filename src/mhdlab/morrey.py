@@ -171,20 +171,24 @@ def _gradient_norm(v: VectorField, mp: MorreyParams, sampling: BallSampling) -> 
 
 
 def _sup_weighted(nodes, values, exponent) -> float:
+    """Largest ``t**exponent * v`` over the nodes, skipping t = 0 for a positive exponent; NaN propagates."""
     if exponent < 0:
         raise ValueError("negative sup weight exponent with t=0 on the mesh")
-    best = 0.0
-    for t, v in zip(nodes, values):
-        if t == 0.0 and exponent > 0:
-            continue
-        w = 1.0 if (t == 0.0 and exponent == 0.0) else t**exponent
-        best = max(best, w * v)
-    return best
+    weighted = [t**exponent * v for t, v in zip(nodes, values) if t > 0.0 or exponent == 0.0]
+    return float(np.max([0.0, *weighted]))
 
 
 def _time_lp(nodes, values, a) -> float:
+    """Trapezoidal ``(int v(t)**a dt)**(1/a)``.
+
+    The values are divided by the largest one before the power is taken, so
+    the power overflows only when the result does.
+    """
     arr = np.asarray(values, dtype=float)
-    return float(np.trapezoid(arr**a, np.asarray(nodes)) ** (1.0 / a))
+    scale = float(arr.max())
+    if not 0.0 < scale < math.inf:  # all zero, or already inf or nan
+        return float(np.trapezoid(arr**a, np.asarray(nodes)) ** (1.0 / a))
+    return scale * float(np.trapezoid((arr / scale) ** a, np.asarray(nodes)) ** (1.0 / a))
 
 
 def weighted_seminorms(

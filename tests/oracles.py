@@ -7,9 +7,37 @@ path of the package, so agreement is meaningful.
 import math
 
 import numpy as np
+from scipy import fft as sfft
 
-from mhdlab.fields import Field, Grid, ScalarField, _fwd, _inv, _magnitude_values, _tables
+from mhdlab.fields import Field, Grid, ScalarField, _fwd, _inv, _magnitude_values, _tables, _workers
 from mhdlab.morrey import MorreyParams
+
+
+def fwd_full(values: np.ndarray) -> np.ndarray:
+    """Full complex forward transform to per-mode coefficients of exp(i k.x)."""
+    return sfft.fftn(values, axes=(-3, -2, -1), workers=_workers()) / values.shape[-1] ** 3
+
+
+def inv_full(coeffs: np.ndarray) -> np.ndarray:
+    """Inverse of :func:`fwd_full`, discarding the round-off imaginary part."""
+    return sfft.ifftn(coeffs * coeffs.shape[-1] ** 3, axes=(-3, -2, -1), workers=_workers()).real
+
+
+def tables_full(grid: Grid) -> dict:
+    """The package's wavevector tables (``kd``, ``k2``, ``inv_k2d``, ``keep``) on the full (n, n, n) grid."""
+    n = grid.n
+    kint = np.fft.fftfreq(n, d=1.0 / n)
+    k1 = 2.0 * math.pi / grid.l * kint
+    kx, ky, kz = np.meshgrid(k1, k1, k1, indexing="ij")
+    k1d = k1.copy()
+    k1d[n // 2] = 0.0  # the unpaired Nyquist mode has no odd derivative
+    kd = np.stack(np.meshgrid(k1d, k1d, k1d, indexing="ij"))
+    k2d = np.sum(kd**2, axis=0)
+    inv_k2d = np.zeros_like(k2d)
+    np.divide(1.0, k2d, out=inv_k2d, where=k2d > 0)
+    ax = np.abs(kint) <= n / 3.0
+    keep = ax[:, None, None] & ax[None, :, None] & ax[None, None, :]
+    return {"kd": kd, "k2": kx**2 + ky**2 + kz**2, "inv_k2d": inv_k2d, "keep": keep}
 
 
 def ball_count_direct(grid: Grid, r: float) -> int:

@@ -119,6 +119,23 @@ class TestSimulate:
         assert len((out / "series.csv").read_text().splitlines()) == 1 + nodes
         assert np.isfinite(read_field(out / f"omega_{nodes - 1:04d}.mhf").values).all()
 
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_overflowing_oracle_is_an_error(self, tmp_path, capsys):
+        # the sweeps diverge, then the Heun oracle's nodes overflow: an error
+        # message and exit 1, not a traceback
+        path, _ = _config(
+            tmp_path,
+            grid={"n": 16, "l": 2 * math.pi},
+            mesh={"horizon": 0.1, "num_nodes": 3, "spacing": "uniform"},
+            data={
+                "omega": {"family": "random_divfree", "seed": 1, "cutoff": 4, "amplitude": 1e300},
+                "j": {"family": "random_divfree", "seed": 2, "cutoff": 4, "amplitude": 1e300},
+            },
+            oracle={"enabled": True},
+        )
+        assert main(["simulate", "--config", str(path)]) == 1
+        assert "error:" in capsys.readouterr().err
+
     def test_large_amplitude_reports_nonconvergence(self, tmp_path, capsys):
         path, _ = _config(
             tmp_path,

@@ -443,6 +443,34 @@ class TestReferenceTimestepper:
             )
 
 
+class TestThreadInvariance:
+    """Results must not depend on the FFT thread count (``MHDLAB_THREADS``)."""
+
+    @staticmethod
+    def _arrays(trace):
+        fields = (trace.omega, trace.current, trace.velocity, trace.magnetic)
+        return [f.values for node_fields in fields for f in node_fields]
+
+    def test_picard_and_stepper_bitwise_equal_for_1_and_2_threads(self, grid16, monkeypatch):
+        spec = {
+            "omega": {"family": "random_divfree", "seed": 3, "cutoff": 4, "amplitude": 0.5},
+            "j": {"family": "random_divfree", "seed": 4, "cutoff": 4, "amplitude": 0.5},
+        }
+        w0, j0 = generate_initial_data(spec, grid16)
+        mesh = TimeMesh.uniform(0.2, 5)
+        runs = []
+        for threads in ("1", "2"):
+            monkeypatch.setenv("MHDLAB_THREADS", threads)
+            trace, report = run_picard(w0, j0, mesh, tol=1e-12)
+            stepped = reference_timestepper(w0, j0, TimeMesh.uniform(0.02, 3), dt=0.01)
+            runs.append((trace, report, stepped))
+        (ta, ra, sa), (tb, rb, sb) = runs
+        assert ra.sweep_count > 1 and ra.deltas == rb.deltas
+        assert [s.seminorms for s in ra.sweeps] == [s.seminorms for s in rb.sweeps]
+        for x, y in zip(self._arrays(ta) + self._arrays(sa), self._arrays(tb) + self._arrays(sb)):
+            assert np.array_equal(x, y)
+
+
 class TestWeakStar:
     def test_pure_heat_closed_form(self, grid32):
         w0, j0 = _canonical_data(grid32)

@@ -11,6 +11,8 @@ from mhdlab.mild import TimeMesh, heat_flow_trace
 from mhdlab.morrey import (
     BallSampling,
     MorreyParams,
+    _sup_weighted,
+    _time_lp,
     ball_cell_count,
     holder_check,
     interpolation_check,
@@ -212,6 +214,35 @@ class TestWeightedSeminorms:
             sem = weighted_seminorms(heat_flow_trace(w, w, mesh), 1.9, 2.0)
             assert math.isfinite(sem.w0_bar) and math.isfinite(sem.j0_bar)
             assert all(math.isfinite(v) for v in sem.as_dict().values()) == finite
+
+    def test_time_lp_does_not_overflow_before_the_norms(self):
+        assert _time_lp((0.0, 0.5, 1.0), [1e150] * 3, 3.0) == pytest.approx(1e150, rel=1e-15)
+
+    def test_time_lp_matches_unscaled_formula(self):
+        rng = np.random.default_rng(5)
+        nodes = (0.0, 0.1, 0.25, 0.5, 1.0)
+        for p, q in ((1.5, 1.0), (1.9, 2.0), (3.0, 1.0)):
+            for a in (2 * p / (2 * p - 3 + q), 2 * p / (3 * p - 3 + q)):
+                for _ in range(20):
+                    v = rng.uniform(0.1, 10.0, len(nodes))
+                    plain = np.trapezoid(v**a, nodes) ** (1.0 / a)
+                    assert _time_lp(nodes, v, a) == pytest.approx(plain, rel=1e-15)
+        assert _time_lp(nodes, [0.0] * 5, 3.0) == 0.0
+        assert _time_lp(nodes, [1.0, math.inf, 1.0, 1.0, 1.0], 3.0) == math.inf
+        assert math.isnan(_time_lp(nodes, [1.0, math.nan, 1.0, 1.0, 1.0], 3.0))
+
+    def test_barred_norm_finite_at_large_amplitude(self, grid16):
+        # (p, q) = (1.5, 1) raises node norms to the power 3: unscaled, 1e150 overflows
+        x1, x2, x3 = grid16.meshgrid()
+        w = VectorField(grid16, 1e150 * np.stack([np.sin(x2), np.sin(x3), np.sin(x1)]))
+        sem = weighted_seminorms(heat_flow_trace(w, w, TimeMesh.uniform(1.0, 5)), 1.5, 1.0)
+        assert math.isfinite(sem.w0_bar) and math.isfinite(sem.j0_bar)
+        assert 0.1 * sem.w0 <= sem.w0_bar <= 10 * sem.w0
+
+    def test_sup_weighted_propagates_nan(self):
+        assert math.isnan(_sup_weighted((0, 0.5, 1), [1, math.nan, 2], 0.5))
+        assert _sup_weighted((0, 0.5, 1), [1, 4, 2], 0.5) == pytest.approx(4 * 0.5**0.5)
+        assert _sup_weighted((0, 0.5, 1), [7, 4, 2], 0.0) == 7.0
 
 
 class TestSmoothingScan:
