@@ -84,13 +84,13 @@ def _float_cell(x: float) -> str:
     return repr(float(x))
 
 
-def _series_csv(trace, p: float, q: float, sampling: BallSampling) -> str:
+def _series_csv(nodes, omega, current, p: float, q: float, sampling: BallSampling) -> str:
     mp = MorreyParams(p, q)
     e0 = 1.0 - (3.0 - q) / (2.0 * p)
     buf = io.StringIO()
     writer = csv.writer(buf)
     writer.writerow(["t", "omega_l2", "j_l2", "omega_mpq", "j_mpq", "weighted_omega", "weighted_j"])
-    for t, w, j in zip(trace.mesh.nodes, trace.omega, trace.current):
+    for t, w, j in zip(nodes, omega, current):
         mw = morrey_norm(w, mp, sampling)
         mj = morrey_norm(j, mp, sampling)
         wt = 0.0 if t == 0.0 else t**e0
@@ -150,8 +150,10 @@ def _cmd_simulate(args) -> int:
         oracle = reference_timestepper(w0, j0, mesh, dt=float(dt))
         oracle_distance = trace_distance(oracle, trace)
 
-    (out_dir / "series.csv").write_text(_series_csv(trace, p, q, sampling), encoding="utf-8")
-    for m, (w, j) in enumerate(zip(trace.omega, trace.current)):
+    omega, current = trace.omega, trace.current
+    series = _series_csv(mesh.nodes, omega, current, p, q, sampling)
+    (out_dir / "series.csv").write_text(series, encoding="utf-8")
+    for m, (w, j) in enumerate(zip(omega, current)):
         write_field(out_dir / f"omega_{m:04d}.mhf", w)
         write_field(out_dir / f"current_{m:04d}.mhf", j)
 
@@ -306,7 +308,7 @@ def main(argv=None) -> int:
     try:
         return handlers[args.command](args)
     # run_picard reports diverging sweeps itself; a DivergenceError that gets
-    # here comes from data whose heat flow or Heun oracle overflows
+    # here comes from data whose heat flow, Heun oracle or final fields overflow
     except (ValueError, OSError, RuntimeError, json.JSONDecodeError, DivergenceError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

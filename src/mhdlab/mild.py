@@ -1,13 +1,14 @@
 """Nonlinear terms, the Duhamel map, whole-trajectory fixed-point iteration,
 and an independent integrating-factor time stepper.
 
-The evolved pair is (vorticity, current density); velocity and magnetic field
-are recovered by curl inversion at every time node.  The fixed-point sweep
-updates the whole trajectory at once: each new iterate is the heat flow of the
-initial data minus the time-convolved nonlinear forcing of the previous
-iterate.  Nonlinear products are formed in physical space and dealiased by the
-2/3 rule before differentiation, so iterates of band-limited data stay exactly
-band-limited.
+The evolved pair is (vorticity, current density).  A trace holds only their
+real-FFT half spectra at every time node; the physical fields are formed on
+demand, and velocity and magnetic field are curl inversions formed where the
+forcing needs them.  The fixed-point sweep updates the whole trajectory at
+once: each new iterate is the heat flow of the initial data minus the
+time-convolved nonlinear forcing of the previous iterate.  Nonlinear products
+are formed in physical space and dealiased by the 2/3 rule before
+differentiation, so iterates of band-limited data stay exactly band-limited.
 
 A sweep stays in spectral space and costs O(M) in the number of nodes.  The
 Duhamel integral advances node by node with the semigroup recursion
@@ -16,10 +17,14 @@ multiplier of the step ``h = t_m - t_{m-1}`` and ``A(h)``, ``B(h)`` fold the
 Gauss-Legendre weights of the linearly interpolated forcing over that step,
 so every mesh, graded ones included, gets the same quadrature as the direct
 sum over all earlier subintervals.  The forcing of a node is computed inside
-that loop and dropped after the next step.  The new vorticity and current are
-``exp(-t_m |k|^2) w0_hat - acc_m``; each field and its curl inverse come from
-that spectrum with one inverse transform each.  The zeroth iterate (the sweep
-with zero forcing) and the nodes of the Heun stepper are filled the same way.
+that loop from ``u, w, b, j``, one inverse transform of a stored spectrum
+each, and dropped after the next step.  The new spectra ``exp(-t_m |k|^2)
+w0_hat - acc_m`` are written straight into the new trace, as are the zeroth
+iterate (the sweep with zero forcing) and the nodes of the Heun stepper.
+
+Solenoidality holds by construction (the flux is the divergence of an
+antisymmetric tensor, the source a curl), so it is checked once per initial
+datum and in :meth:`MhdTrace.validate`; every new spectrum is checked finite.
 
 The current source is evaluated as ``-curl curl(dealias(u x b))``, which equals
 the curl of the dealiased ``(u.grad)b - (b.grad)u`` for band-limited solenoidal
@@ -42,9 +47,8 @@ from .fields import (
     _inv,
     _same_grid,
     _tables,
-    lp_norm,
 )
-from .kernels import _biot_savart_hat, _require_solenoidal, biot_savart
+from .kernels import _biot_savart_hat, _require_solenoidal
 from .morrey import BallSampling, WeightedSeminorms, weighted_seminorms
 
 
@@ -93,45 +97,55 @@ class TimeMesh:
 
 @dataclass(frozen=True)
 class MhdTrace:
-    """Per-node iterate fields (vorticity, current) with cached (velocity, magnetic)."""
+    """Vorticity and current at every mesh node, held as real-FFT half spectra.
+
+    ``spectra[0, m]`` is the vorticity spectrum and ``spectra[1, m]`` the
+    current spectrum at node ``m``, each of shape ``(3, n, n, n//2 + 1)``;
+    the block is read-only.  The physical fields :attr:`omega` and
+    :attr:`current` are formed on each access, one inverse transform per
+    node; velocity and magnetic field are their ``biot_savart`` images.
+    """
 
     mesh: TimeMesh
-    omega: tuple[VectorField, ...]
-    current: tuple[VectorField, ...]
-    velocity: tuple[VectorField, ...]
-    magnetic: tuple[VectorField, ...]
+    grid: Grid
+    spectra: np.ndarray
 
     def __post_init__(self) -> None:
-        m = len(self.mesh.nodes)
-        for name in ("omega", "current", "velocity", "magnetic"):
-            if len(getattr(self, name)) != m:
-                raise ValueError(f"{name} must have one field per mesh node")
+        n = self.grid.n
+        shape = (2, len(self.mesh.nodes), 3, n, n, n // 2 + 1)
+        spectra = np.asarray(self.spectra, dtype=np.complex128)
+        if spectra.shape != shape:
+            raise ValueError(f"spectra must have shape {shape}: one vorticity and current per mesh node")
+        spectra.setflags(write=False)
+        object.__setattr__(self, "spectra", spectra)
 
     @property
-    def grid(self) -> Grid:
-        return self.omega[0].grid
+    def omega(self) -> tuple[VectorField, ...]:
+        """Vorticity at every node; raises :class:`DivergenceError` if a node is not finite."""
+        return self._fields(0, "omega")
 
-    @staticmethod
-    def from_vorticity(mesh: TimeMesh, omega, current) -> "MhdTrace":
-        """Build a trace from iterate fields, recovering velocity and magnetic caches."""
-        u = tuple(biot_savart(w) for w in omega)
-        b = tuple(biot_savart(j) for j in current)
-        return MhdTrace(mesh, tuple(omega), tuple(current), u, b)
+    @property
+    def current(self) -> tuple[VectorField, ...]:
+        """Current density at every node; raises :class:`DivergenceError` if a node is not finite."""
+        return self._fields(1, "current")
 
-    def validate(self, div_tol: float = 1e-8, cache_tol: float = 1e-10) -> None:
-        """Check solenoidality of all fields and coherence of the curl caches."""
-        from .fields import curl, divergence, max_norm
+    def _fields(self, which: int, what: str) -> tuple[VectorField, ...]:
+        out = []
+        for t, hat in zip(self.mesh.nodes, self.spectra[which]):
+            values = _inv(hat)
+            _require_finite(f"{what} at t = {t}", values)
+            out.append(VectorField(self.grid, values))
+        return tuple(out)
 
-        for m, (w, j, u, b) in enumerate(zip(self.omega, self.current, self.velocity, self.magnetic)):
-            for name, f in (("omega", w), ("current", j), ("velocity", u), ("magnetic", b)):
+    def validate(self, div_tol: float = 1e-8) -> None:
+        """Check that the vorticity and current of every node are divergence-free."""
+        from .fields import divergence, max_norm
+
+        for name, fields in (("omega", self.omega), ("current", self.current)):
+            for m, f in enumerate(fields):
                 scale = max(max_norm(f), np.finfo(float).tiny)
                 if max_norm(divergence(f)) > div_tol * scale:
                     raise ValueError(f"node {m}: {name} is not divergence-free")
-            for name, pot, target in (("velocity", u, w), ("magnetic", b, j)):
-                scale = max(max_norm(target), np.finfo(float).tiny)
-                err = max_norm(VectorField(self.grid, curl(pot).values - target.values))
-                if err > cache_tol * scale:
-                    raise ValueError(f"node {m}: curl({name}) does not match its source field")
 
 
 @dataclass(frozen=True)
@@ -184,17 +198,18 @@ def _flux_hat(u: np.ndarray, w: np.ndarray, b: np.ndarray, j: np.ndarray, grid: 
     )
 
 
+def _advection(a: np.ndarray, bh: np.ndarray, grid: Grid) -> np.ndarray:
+    """(a . grad) b in physical space (not yet dealiased), from ``a`` and the half spectrum of ``b``."""
+    kd = _tables(grid)["kd"]
+    out = np.zeros_like(a)
+    for i in range(3):
+        out += a[i] * _inv(1j * kd[i] * bh)  # a_i d b_m / d x_i for all m
+    return out
+
+
 def _advective_difference(u: np.ndarray, b: np.ndarray, grid: Grid) -> np.ndarray:
     """(u . grad) b - (b . grad) u in physical space (not yet dealiased)."""
-    kd = _tables(grid)["kd"]
-    uh = _fwd(u)
-    bh = _fwd(b)
-    out = np.zeros_like(u)
-    for i in range(3):
-        du_i = _inv(1j * kd[i] * uh)  # d u_m / d x_i for all m
-        db_i = _inv(1j * kd[i] * bh)
-        out += u[i] * db_i - b[i] * du_i
-    return out
+    return _advection(u, _fwd(b), grid) - _advection(b, _fwd(u), grid)
 
 
 def _source_hat(u: np.ndarray, b: np.ndarray, grid: Grid) -> np.ndarray:
@@ -202,6 +217,12 @@ def _source_hat(u: np.ndarray, b: np.ndarray, grid: Grid) -> np.ndarray:
     cross = np.stack([u[1] * b[2] - u[2] * b[1], u[2] * b[0] - u[0] * b[2], u[0] * b[1] - u[1] * b[0]])
     kd = _tables(grid)["kd"]
     return -_curl_hat(_curl_hat(_dealias_hat(_fwd(cross), grid), kd), kd)
+
+
+def _forcing_hats(wh: np.ndarray, jh: np.ndarray, grid: Grid) -> tuple[np.ndarray, np.ndarray]:
+    """Flux and current-source spectra of one node, from its vorticity and current spectra."""
+    u, w, b, j = (_inv(h) for h in (_biot_savart_hat(wh, grid), wh, _biot_savart_hat(jh, grid), jh))
+    return _flux_hat(u, w, b, j, grid), _source_hat(u, b, grid)
 
 
 def vorticity_flux(u: VectorField, w: VectorField, b: VectorField, j: VectorField) -> VectorField:
@@ -294,41 +315,30 @@ def _require_finite(what: str, *values) -> None:
             raise DivergenceError(f"{what} is not finite: the iterates diverged")
 
 
-def _fill_node(hat: np.ndarray, grid: Grid, t: float, field: np.ndarray, potential: np.ndarray,
-               what: str) -> None:
-    """Fill a new node's field and curl inverse from its spectrum; check them finite and solenoidal."""
-    if t > 0.0:  # the node at t = 0 already holds the initial datum
-        field[...] = _inv(hat)
-    potential[...] = _inv(_biot_savart_hat(hat, grid))
-    _require_finite(f"{what} at t = {t}", field, potential)
-    _require_solenoidal(field, hat, grid, f"{what} at t = {t}")
-
-
-def _trace_from_hats(mesh: TimeMesh, w0: VectorField, j0: VectorField, hats) -> MhdTrace:
-    """Build a trace from the vorticity and current spectra of every node.
-
-    ``hats`` yields ``(w_hat, j_hat)`` node by node, so a generator keeps only
-    the working arrays of one node alive; the node at t = 0 keeps the initial
-    data.  Every node goes through :func:`_fill_node`.
-    """
-    grid = w0.grid
-    # omega, velocity, current, magnetic of every node in one block, which is
-    # released whole with the trace instead of fragmenting the heap
-    out = np.empty((4, len(mesh.nodes)) + w0.values.shape)
-    out[0, 0], out[2, 0] = w0.values, j0.values
-    for m, (t, (wh, jh)) in enumerate(zip(mesh.nodes, hats)):
-        _fill_node(wh, grid, t, out[0, m], out[1, m], "omega")
-        _fill_node(jh, grid, t, out[2, m], out[3, m], "current")
-    omega, velocity, current, magnetic = (tuple(VectorField(grid, v) for v in block) for block in out)
-    return MhdTrace(mesh, omega, current, velocity, magnetic)
+def _datum_spectra(w0: VectorField, j0: VectorField) -> tuple[Grid, np.ndarray, np.ndarray]:
+    """Grid and half spectra of an initial pair, rejected unless both are solenoidal and mean-free."""
+    grid = _same_grid(w0, j0)
+    w0h, j0h = _fwd(w0.values), _fwd(j0.values)
+    _require_solenoidal(w0.values, w0h, grid, "initial vorticity")
+    _require_solenoidal(j0.values, j0h, grid, "initial current")
+    return grid, w0h, j0h
 
 
 def heat_flow_trace(w0: VectorField, j0: VectorField, mesh: TimeMesh) -> MhdTrace:
-    """The zeroth iterate: pure heat flow of the initial pair (a sweep with zero forcing)."""
-    k2 = _tables(_same_grid(w0, j0))["k2"]
-    w0h, j0h = _fwd(w0.values), _fwd(j0.values)
-    heat = (np.exp(-t * k2) for t in mesh.nodes)
-    return _trace_from_hats(mesh, w0, j0, ((e * w0h, e * j0h) for e in heat))
+    """The zeroth iterate: pure heat flow of the initial pair (a sweep with zero forcing).
+
+    Raises ``ValueError`` unless both data are solenoidal and mean-free.
+    """
+    grid, w0h, j0h = _datum_spectra(w0, j0)
+    k2 = _tables(grid)["k2"]
+    # every node in one block, released whole with the trace instead of fragmenting the heap
+    out = np.empty((2, len(mesh.nodes)) + w0h.shape, dtype=w0h.dtype)
+    for m, t in enumerate(mesh.nodes):
+        heat = np.exp(-t * k2)
+        np.multiply(heat, w0h, out=out[0, m])
+        np.multiply(heat, j0h, out=out[1, m])
+        _require_finite(f"heat flow at t = {t}", out[:, m])
+    return MhdTrace(mesh, grid, out)
 
 
 def picard_sweep(trace: MhdTrace, w0: VectorField, j0: VectorField) -> MhdTrace:
@@ -344,31 +354,31 @@ def picard_sweep(trace: MhdTrace, w0: VectorField, j0: VectorField) -> MhdTrace:
     mesh = trace.mesh
     k2 = _tables(grid)["k2"]
     w0h, j0h = _fwd(w0.values), _fwd(j0.values)
-
-    def new_hats():
-        acc = (np.zeros_like(w0h), np.zeros_like(j0h))
-        prev = None
-        for m, t in enumerate(mesh.nodes):
-            u, w, b, j = (f[m].values for f in (trace.velocity, trace.omega, trace.magnetic, trace.current))
-            force = (_flux_hat(u, w, b, j, grid), _source_hat(u, b, grid))
-            if m > 0:
-                mult = _step_multipliers(k2, t - mesh.nodes[m - 1], mesh.quad_order)
-                for a, fp, fn in zip(acc, prev, force):
-                    _duhamel_step(a, fp, fn, mult)
-            prev = force
-            heat = np.exp(-t * k2)
-            yield heat * w0h - acc[0], heat * j0h - acc[1]
-
-    return _trace_from_hats(mesh, w0, j0, new_hats())
+    out = np.empty_like(trace.spectra)
+    acc = np.zeros_like(trace.spectra[:, 0])
+    prev = None
+    for m, t in enumerate(mesh.nodes):
+        force = _forcing_hats(*trace.spectra[:, m], grid)
+        if m > 0:
+            mult = _step_multipliers(k2, t - mesh.nodes[m - 1], mesh.quad_order)
+            for a, fp, fn in zip(acc, prev, force):
+                _duhamel_step(a, fp, fn, mult)
+        prev = force
+        heat = np.exp(-t * k2)
+        np.subtract(heat * w0h, acc[0], out=out[0, m])
+        np.subtract(heat * j0h, acc[1], out=out[1, m])
+        _require_finite(f"sweep node at t = {t}", out[:, m])
+    return MhdTrace(mesh, grid, out)
 
 
 def trace_distance(a: MhdTrace, b: MhdTrace) -> float:
-    """Max over nodes of the L2 distances of the vorticity and current iterates."""
+    """Max over nodes of the L2 distances of the vorticity and current iterates, by Parseval."""
+    scale = math.sqrt(a.grid.volume)
     best = 0.0
-    for wa, wb, ja, jb in zip(a.omega, b.omega, a.current, b.current):
-        dw, dj = wa.values - wb.values, ja.values - jb.values
-        _require_finite("trace difference", dw, dj)
-        best = max(best, lp_norm(VectorField(wa.grid, dw), 2) + lp_norm(VectorField(ja.grid, dj), 2))
+    for m in range(len(a.mesh.nodes)):
+        diff = a.spectra[:, m] - b.spectra[:, m]
+        _require_finite("trace difference", diff)
+        best = max(best, scale * (_spectral_l2(diff[0]) + _spectral_l2(diff[1])))
     return best
 
 
@@ -457,9 +467,10 @@ def reference_timestepper(
     nonlinear terms are advanced with the second-order Heun corrector.  Each
     mesh subinterval is split into uniform substeps no longer than ``dt``, so
     the mesh nodes are hit exactly without interpolation.  ``dt`` must resolve
-    the fastest retained mode (``dt * max|k|^2 <= 1``).
+    the fastest retained mode (``dt * max|k|^2 <= 1``), and both data must be
+    solenoidal and mean-free.
     """
-    grid = _same_grid(w0, j0)
+    grid, wh, jh = _datum_spectra(w0, j0)
     if dt <= 0:
         raise ValueError("dt must be positive")
     k2max = max_retained_k2(grid)
@@ -473,35 +484,31 @@ def reference_timestepper(
         if not nonlinear:
             z = np.zeros_like(wh)
             return z, z
-        uh = _biot_savart_hat(wh, grid)
-        bh = _biot_savart_hat(jh, grid)
-        u, w, b, j = (_inv(h) for h in (uh, wh, bh, jh))
-        return -_flux_hat(u, w, b, j, grid), -_source_hat(u, b, grid)
+        flux, source = _forcing_hats(wh, jh, grid)
+        return -flux, -source
 
-    def node_hats():
-        wh = _fwd(w0.values)
-        jh = _fwd(j0.values)
-        yield wh, jh
-        for a in range(len(mesh.nodes) - 1):
-            ta, tb = mesh.nodes[a], mesh.nodes[a + 1]
-            nsub = max(1, math.ceil((tb - ta) / dt - 1e-12))
-            h = (tb - ta) / nsub
-            decay = np.exp(-h * k2)
-            for _ in range(nsub):
-                size0 = _spectral_l2(wh, jh)
-                nw0, nj0 = nonlin(wh, jh)
-                wh_star = decay * (wh + h * nw0)
-                jh_star = decay * (jh + h * nj0)
-                nw1, nj1 = nonlin(wh_star, jh_star)
-                wh = decay * wh + 0.5 * h * (decay * nw0 + nw1)
-                jh = decay * jh + 0.5 * h * (decay * nj0 + nj1)
-                if _spectral_l2(wh, jh) > 10.0 * max(size0, np.finfo(float).tiny):
-                    raise RuntimeError(
-                        f"unstable step at t in [{ta}, {tb}]: norm grew more than 10x in one step"
-                    )
-            yield wh, jh
-
-    return _trace_from_hats(mesh, w0, j0, node_hats())
+    out = np.empty((2, len(mesh.nodes)) + wh.shape, dtype=wh.dtype)
+    out[0, 0], out[1, 0] = wh, jh
+    for a in range(len(mesh.nodes) - 1):
+        ta, tb = mesh.nodes[a], mesh.nodes[a + 1]
+        nsub = max(1, math.ceil((tb - ta) / dt - 1e-12))
+        h = (tb - ta) / nsub
+        decay = np.exp(-h * k2)
+        for _ in range(nsub):
+            size0 = _spectral_l2(wh, jh)
+            nw0, nj0 = nonlin(wh, jh)
+            wh_star = decay * (wh + h * nw0)
+            jh_star = decay * (jh + h * nj0)
+            nw1, nj1 = nonlin(wh_star, jh_star)
+            wh = decay * wh + 0.5 * h * (decay * nw0 + nw1)
+            jh = decay * jh + 0.5 * h * (decay * nj0 + nj1)
+            if _spectral_l2(wh, jh) > 10.0 * max(size0, np.finfo(float).tiny):
+                raise RuntimeError(
+                    f"unstable step at t in [{ta}, {tb}]: norm grew more than 10x in one step"
+                )
+        out[0, a + 1], out[1, a + 1] = wh, jh
+        _require_finite(f"oracle at t = {tb}", out[:, a + 1])
+    return MhdTrace(mesh, grid, out)
 
 
 @dataclass(frozen=True)

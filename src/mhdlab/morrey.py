@@ -27,8 +27,6 @@ from .fields import (
     Field,
     Grid,
     ScalarField,
-    VectorField,
-    _fwd,
     _inv,
     _magnitude_values,
     _tables,
@@ -161,13 +159,13 @@ class WeightedSeminorms:
         }
 
 
-def _gradient_norm(v: VectorField, mp: MorreyParams, sampling: BallSampling) -> float:
-    """Morrey norm of ``|grad v|``; a gradient that overflows gives a non-finite norm, not an error."""
-    kd = _tables(v.grid)["kd"]
-    acc = np.zeros((v.grid.n,) * 3)
+def _gradient_norm(vh: np.ndarray, grid: Grid, mp: MorreyParams, sampling: BallSampling) -> float:
+    """Morrey norm of ``|grad v|`` from the half spectrum ``vh``; an overflow gives a non-finite norm."""
+    kd = _tables(grid)["kd"]
+    acc = np.zeros((grid.n,) * 3)
     for i in range(3):
-        acc += np.sum(_inv(1j * kd * _fwd(v.values[i])[None]) ** 2, axis=0)
-    return max(val for val, _, _ in _candidates(v.grid, np.sqrt(acc, out=acc), mp, sampling))
+        acc += np.sum(_inv(1j * kd * vh[i][None]) ** 2, axis=0)
+    return max(val for val, _, _ in _candidates(grid, np.sqrt(acc, out=acc), mp, sampling))
 
 
 def _sup_weighted(nodes, values, exponent) -> float:
@@ -212,8 +210,8 @@ def weighted_seminorms(
 
     om = [morrey_norm(w, mp, sampling) for w in trace.omega]
     jm = [morrey_norm(j, mp, sampling) for j in trace.current]
-    om_g = [_gradient_norm(w, mp, sampling) for w in trace.omega]
-    jm_g = [_gradient_norm(j, mp, sampling) for j in trace.current]
+    om_g = [_gradient_norm(wh, trace.grid, mp, sampling) for wh in trace.spectra[0]]
+    jm_g = [_gradient_norm(jh, trace.grid, mp, sampling) for jh in trace.spectra[1]]
 
     return WeightedSeminorms(
         w0=_sup_weighted(nodes, om, e0),

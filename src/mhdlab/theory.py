@@ -27,45 +27,19 @@ from .fields import (
     divergence,
     gradient,
 )
-from .mild import _dealias_hat
+from .mild import _advection, _dealias_hat
 
 
 # ---------------------------------------------------------------------------
 # beta constants
 
 
-def beta_C(a: float, b: float) -> float:
-    """The constant ``C(a, b) = int_0^1 (1-s)^(a-1) s^(b-1) ds`` by adaptive quadrature.
+def _split_beta(a: float, b: float, t: float) -> float:
+    """``int_0^t (t-s)^(a-1) s^(b-1) ds`` by adaptive quadrature, split at ``t/2``.
 
-    The endpoint singularities (for exponents below 1) are removed by the
-    substitution ``u = s**b`` near 0 and symmetrically near 1.  Requires
-    ``a, b > 0`` (the integral diverges otherwise).
+    Each half removes its endpoint singularity (exponent below 1) by the
+    substitution ``u = s**expo`` in the distance to that endpoint.
     """
-    if a <= 0 or b <= 0:
-        raise ValueError(f"beta constant needs positive arguments, got ({a}, {b})")
-
-    def half(aa: float, bb: float) -> float:
-        # int_0^(1/2) (1-s)^(aa-1) s^(bb-1) ds  with u = s**bb
-        top = 0.5**bb
-        val, _ = quad(
-            lambda u: (1.0 - u ** (1.0 / bb)) ** (aa - 1.0),
-            0.0,
-            top,
-            epsabs=1e-15,
-            epsrel=1e-13,
-            limit=200,
-        )
-        return val / bb
-
-    return half(a, b) + half(b, a)
-
-
-def beta_time_integral(a: float, b: float, t: float) -> float:
-    """Direct quadrature of ``int_0^t (t-s)^(a-1) s^(b-1) ds`` (no rescaling shortcut)."""
-    if a <= 0 or b <= 0:
-        raise ValueError(f"integral needs positive exponents, got ({a}, {b})")
-    if t <= 0:
-        raise ValueError("t must be positive")
 
     def half_from_zero(expo_near: float, expo_far: float) -> float:
         # int_0^(t/2) (t-s)^(expo_far-1) s^(expo_near-1) ds  with u = s**expo_near
@@ -81,6 +55,27 @@ def beta_time_integral(a: float, b: float, t: float) -> float:
         return val / expo_near
 
     return half_from_zero(b, a) + half_from_zero(a, b)
+
+
+def beta_C(a: float, b: float) -> float:
+    """The constant ``C(a, b) = int_0^1 (1-s)^(a-1) s^(b-1) ds`` by adaptive quadrature.
+
+    The endpoint singularities (for exponents below 1) are removed by the
+    substitution ``u = s**b`` near 0 and symmetrically near 1.  Requires
+    ``a, b > 0`` (the integral diverges otherwise).
+    """
+    if a <= 0 or b <= 0:
+        raise ValueError(f"beta constant needs positive arguments, got ({a}, {b})")
+    return _split_beta(a, b, 1.0)
+
+
+def beta_time_integral(a: float, b: float, t: float) -> float:
+    """Direct quadrature of ``int_0^t (t-s)^(a-1) s^(b-1) ds`` (no rescaling shortcut)."""
+    if a <= 0 or b <= 0:
+        raise ValueError(f"integral needs positive exponents, got ({a}, {b})")
+    if t <= 0:
+        raise ValueError("t must be positive")
+    return _split_beta(a, b, t)
 
 
 # ---------------------------------------------------------------------------
@@ -364,15 +359,6 @@ def _dealias_values(values: np.ndarray, grid) -> np.ndarray:
     return _inv(_dealias_hat(_fwd(values), grid))
 
 
-def _advect(a: VectorField, b: VectorField) -> np.ndarray:
-    """(a . grad) b, raw values."""
-    out = np.zeros_like(b.values)
-    for m in range(3):
-        gb = gradient(b.component(m)).values
-        out[m] = sum(a.values[i] * gb[i] for i in range(3))
-    return out
-
-
 def vector_identity_check(F: VectorField, G: VectorField) -> dict[str, float]:
     """Relative residuals of the three product identities for vector fields.
 
@@ -391,11 +377,13 @@ def vector_identity_check(F: VectorField, G: VectorField) -> dict[str, float]:
     div_f = divergence(F).values
     div_g = divergence(G).values
     cross_fg = np.cross(f, g, axis=0)
+    adv_fg = _advection(f, _fwd(g), grid)  # (F.grad)G
+    adv_gf = _advection(g, _fwd(f), grid)  # (G.grad)F
 
     # grad(F . G) = (F.grad)G + (G.grad)F + F x curl G + G x curl F
     dot = ScalarField(grid, _dealias_values(np.sum(f * g, axis=0), grid))
     lhs = gradient(dot).values
-    rhs = _advect(F, G) + _advect(G, F) + np.cross(f, curl_g, axis=0) + np.cross(g, curl_f, axis=0)
+    rhs = adv_fg + adv_gf + np.cross(f, curl_g, axis=0) + np.cross(g, curl_f, axis=0)
     rhs = _dealias_values(rhs, grid)
     out["grad_dot"] = float(
         np.max(np.abs(lhs - rhs)) / max(np.max(np.abs(lhs)), np.max(np.abs(rhs)), tiny)
@@ -410,7 +398,7 @@ def vector_identity_check(F: VectorField, G: VectorField) -> dict[str, float]:
 
     # curl(F x G) = F div G - G div F + (G.grad)F - (F.grad)G
     lhs_c = curl(VectorField(grid, _dealias_values(cross_fg, grid))).values
-    rhs_c = f * div_g[None] - g * div_f[None] + _advect(G, F) - _advect(F, G)
+    rhs_c = f * div_g[None] - g * div_f[None] + adv_gf - adv_fg
     rhs_c = _dealias_values(rhs_c, grid)
     out["curl_cross"] = float(
         np.max(np.abs(lhs_c - rhs_c)) / max(np.max(np.abs(lhs_c)), np.max(np.abs(rhs_c)), tiny)

@@ -5,10 +5,11 @@ import math
 import numpy as np
 import pytest
 
-from mhdlab.fields import ScalarField, VectorField, curl, divergence, lp_norm, make_grid
+from mhdlab.fields import ScalarField, VectorField, _fwd, curl, divergence, lp_norm, make_grid
 from mhdlab.initial_data import generate_initial_data
-from mhdlab.kernels import heat_propagate
+from mhdlab.kernels import biot_savart, heat_propagate
 from mhdlab.mild import (
+    DivergenceError,
     MhdTrace,
     TimeMesh,
     current_source,
@@ -204,6 +205,22 @@ class TestDuhamel:
 
 
 class TestPicardSweep:
+    def test_distance_is_the_physical_l2_distance(self, grid16):
+        spec = {
+            "omega": {"family": "random_divfree", "seed": 3, "cutoff": 4, "amplitude": 0.5},
+            "j": {"family": "random_divfree", "seed": 4, "cutoff": 4, "amplitude": 0.5},
+        }
+        w0, j0 = generate_initial_data(spec, grid16)
+        a = heat_flow_trace(w0, j0, TimeMesh.uniform(0.2, 5))
+        b = picard_sweep(a, w0, j0)
+        riemann = max(
+            lp_norm(VectorField(grid16, wa.values - wb.values), 2)
+            + lp_norm(VectorField(grid16, ja.values - jb.values), 2)
+            for wa, wb, ja, jb in zip(a.omega, b.omega, a.current, b.current)
+        )
+        assert riemann > 0
+        assert trace_distance(b, a) == pytest.approx(riemann, rel=1e-13)
+
     def test_zero_data_fixed_point(self, grid32):
         z = _zero(grid32)
         mesh = TimeMesh.uniform(1.0, 5)
@@ -219,7 +236,7 @@ class TestPicardSweep:
         for _ in range(2):
             trace = picard_sweep(trace, w0, j0)
             assert all(np.abs(j.values).max() == 0.0 for j in trace.current)
-            assert all(np.abs(b.values).max() == 0.0 for b in trace.magnetic)
+            assert not np.any(trace.spectra[1])  # so b = biot_savart(j) is zero too
 
     @staticmethod
     def _check_first_sweep(grid, mesh):
@@ -227,21 +244,22 @@ class TestPicardSweep:
         trace0 = heat_flow_trace(w0, j0, mesh)
         swept = picard_sweep(trace0, w0, j0)
         z = _zero(grid)
-        flux = [
-            vorticity_flux(u, w, b, j)
-            for u, w, b, j in zip(trace0.velocity, trace0.omega, trace0.magnetic, trace0.current)
-        ]
+        omega0, current0 = trace0.omega, trace0.current
+        velocity0 = [biot_savart(w) for w in omega0]
+        magnetic0 = [biot_savart(j) for j in current0]
+        flux = [vorticity_flux(u, w, b, j) for u, w, b, j in zip(velocity0, omega0, magnetic0, current0)]
         # gradient-form source and the direct quadrature: independent of the sweep's paths
-        src = [curl(stretching_form(u, b, z, z)) for u, b in zip(trace0.velocity, trace0.magnetic)]
+        src = [curl(stretching_form(u, b, z, z)) for u, b in zip(velocity0, magnetic0)]
+        omega, current = swept.omega, swept.current
         for m, t in enumerate(mesh.nodes):
             expected_w = heat_propagate(w0, t).values
             expected_j = heat_propagate(j0, t).values
             if m > 0:
                 expected_w = expected_w - duhamel_direct(flux, mesh, t)
                 expected_j = expected_j - duhamel_direct(src, mesh, t)
-            assert rel_max_err(swept.omega[m].values, expected_w) <= 1e-12
-            assert rel_max_err(swept.current[m].values, expected_j) <= 1e-12
-            assert rel_max_err(curl(swept.velocity[m]).values, swept.omega[m].values) <= 1e-12
+            assert rel_max_err(omega[m].values, expected_w) <= 1e-12
+            assert rel_max_err(current[m].values, expected_j) <= 1e-12
+            assert rel_max_err(curl(biot_savart(omega[m])).values, omega[m].values) <= 1e-12
 
     def test_first_sweep_matches_hand_assembly(self, grid32):
         self._check_first_sweep(grid32, TimeMesh.uniform(0.5, 9))
@@ -262,11 +280,11 @@ class TestPicardSweep:
         w0 = _zero(grid32)
         mesh = TimeMesh.uniform(0.5, 9)
         trace0 = heat_flow_trace(w0, j0, mesh)
-        assert all(np.abs(u.values).max() == 0.0 for u in trace0.velocity)
+        assert not np.any(trace0.spectra[0])  # so u = biot_savart(w) is zero too
         swept = picard_sweep(trace0, w0, j0)
-        for m, t in enumerate(mesh.nodes):
+        for t, j in zip(mesh.nodes, swept.current):
             expected = heat_propagate(j0, t).values
-            assert rel_max_err(swept.current[m].values, expected) <= 1e-12
+            assert rel_max_err(j.values, expected) <= 1e-12
         assert any(np.abs(w.values).max() > 0 for w in swept.omega[1:])
 
 
@@ -448,8 +466,7 @@ class TestThreadInvariance:
 
     @staticmethod
     def _arrays(trace):
-        fields = (trace.omega, trace.current, trace.velocity, trace.magnetic)
-        return [f.values for node_fields in fields for f in node_fields]
+        return [trace.spectra] + [f.values for f in trace.omega + trace.current]
 
     def test_picard_and_stepper_bitwise_equal_for_1_and_2_threads(self, grid16, monkeypatch):
         spec = {
@@ -463,11 +480,13 @@ class TestThreadInvariance:
             monkeypatch.setenv("MHDLAB_THREADS", threads)
             trace, report = run_picard(w0, j0, mesh, tol=1e-12)
             stepped = reference_timestepper(w0, j0, TimeMesh.uniform(0.02, 3), dt=0.01)
-            runs.append((trace, report, stepped))
-        (ta, ra, sa), (tb, rb, sb) = runs
+            # the views are formed here, under this thread count
+            runs.append((report, self._arrays(trace) + self._arrays(stepped)))
+        (ra, xa), (rb, xb) = runs
         assert ra.sweep_count > 1 and ra.deltas == rb.deltas
         assert [s.seminorms for s in ra.sweeps] == [s.seminorms for s in rb.sweeps]
-        for x, y in zip(self._arrays(ta) + self._arrays(sa), self._arrays(tb) + self._arrays(sb)):
+        assert len(xa) == len(xb) == 2 + 2 * (5 + 3)
+        for x, y in zip(xa, xb):
             assert np.array_equal(x, y)
 
 
@@ -526,15 +545,40 @@ class TestTraceValidation:
         trace = heat_flow_trace(w0, j0, TimeMesh.uniform(0.5, 5))
         trace.validate()
 
-    def test_from_vorticity_rejects_bad_fields(self, grid32):
+    def test_validate_rejects_non_solenoidal_node(self, grid32):
+        w0, j0 = _coupled_data(grid32)
+        trace = heat_flow_trace(w0, j0, TimeMesh.uniform(0.5, 3))
+        x1 = grid32.meshgrid()[0]
+        spectra = trace.spectra.copy()
+        spectra[1, 2] = _fwd(np.stack([np.sin(x1), 0 * x1, 0 * x1]))
+        with pytest.raises(ValueError, match="node 2: current is not divergence-free"):
+            MhdTrace(trace.mesh, grid32, spectra).validate()
+
+    def test_non_solenoidal_datum_is_rejected(self, grid32):
         x1 = grid32.meshgrid()[0]
         bad = VectorField(grid32, np.stack([np.sin(x1), 0 * x1, 0 * x1]))
-        mesh = TimeMesh.uniform(1.0, 3)
-        with pytest.raises(ValueError, match="divergence-free"):
-            MhdTrace.from_vorticity(mesh, [bad] * 3, [_zero(grid32)] * 3)
-
-    def test_node_count_mismatch(self, grid32):
         z = _zero(grid32)
         mesh = TimeMesh.uniform(1.0, 3)
+        for w0, j0 in ((bad, z), (z, bad)):
+            with pytest.raises(ValueError, match="divergence-free"):
+                run_picard(w0, j0, mesh)
+            with pytest.raises(ValueError, match="divergence-free"):
+                reference_timestepper(w0, j0, mesh, dt=1.0 / max_retained_k2(grid32))
+
+    def test_node_count_mismatch(self, grid32):
+        mesh = TimeMesh.uniform(1.0, 3)
         with pytest.raises(ValueError, match="per mesh node"):
-            MhdTrace(mesh, (z,), (z,) * 3, (z,) * 3, (z,) * 3)
+            MhdTrace(mesh, grid32, np.zeros((2, 1, 3, 32, 32, 17), dtype=complex))
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_overflowing_view_is_divergence(self):
+        # omega(t = 0.5) = 1e305 * sum over k1 != 0 of exp(i k1 x1) e3: a
+        # solenoidal node with a finite spectrum whose field overflows
+        grid = make_grid(8, 2 * math.pi)
+        spectra = np.zeros((2, 3, 3, 8, 8, 5), dtype=complex)
+        spectra[0, 1, 2, 1:, 0, 0] = 1e305
+        trace = MhdTrace(TimeMesh.uniform(1.0, 3), grid, spectra)
+        assert np.isfinite(trace.spectra).all()
+        with pytest.raises(DivergenceError, match="omega at t = 0.5 is not finite"):
+            trace.omega
+        assert not np.any(trace.current[1].values)
