@@ -12,7 +12,9 @@ Subcommands:
   witnesses as JSON.
 - ``norms field.mhf --exponents p:lam[,p:lam...]``: norm table as CSV.
 
-The ``MHDLAB_THREADS`` environment variable sets the FFT worker count.
+The ``MHDLAB_THREADS`` environment variable sets how many threads compute the
+per-node work of a sweep, of the seminorms and of ``series.csv`` (default: the
+CPUs the process may use); every output is the same for any value.
 """
 
 from __future__ import annotations
@@ -27,7 +29,7 @@ import time
 from pathlib import Path
 
 from .field_io import read_field, write_field
-from .fields import lp_norm, make_grid
+from .fields import lp_norm, make_grid, node_map
 from .initial_data import generate_initial_data, initial_size_report
 from .mild import (
     DivergenceError,
@@ -90,9 +92,9 @@ def _series_csv(nodes, omega, current, p: float, q: float, sampling: BallSamplin
     buf = io.StringIO()
     writer = csv.writer(buf)
     writer.writerow(["t", "omega_l2", "j_l2", "omega_mpq", "j_mpq", "weighted_omega", "weighted_j"])
-    for t, w, j in zip(nodes, omega, current):
-        mw = morrey_norm(w, mp, sampling)
-        mj = morrey_norm(j, mp, sampling)
+    fields = (*omega, *current)
+    norms = list(node_map(lambda i: morrey_norm(fields[i], mp, sampling), len(fields)))
+    for t, w, j, mw, mj in zip(nodes, omega, current, norms, norms[len(omega) :]):
         wt = 0.0 if t == 0.0 else t**e0
         writer.writerow(
             [_float_cell(v) for v in (t, lp_norm(w, 2), lp_norm(j, 2), mw, mj, wt * mw, wt * mj)]

@@ -12,12 +12,17 @@ operator of the package runs on uses the real-FFT half spectrum of shape
 the other half follows from ``c(-k) == conj(c(k))``.  The public
 :class:`SpectralField` (``to_spectral``, ``to_physical``, ``dealias``) keeps
 the full ``(n, n, n)`` spectrum.
+
+Every transform runs on one FFT worker.  Work that is independent per time
+node runs on :func:`node_map`, whose thread count ``MHDLAB_THREADS`` sets.
 """
 
 from __future__ import annotations
 
 import math
 import os
+from collections import deque
+from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -25,12 +30,60 @@ import numpy as np
 from scipy import fft as _sfft
 
 
-def _workers() -> int:
-    """Thread count for FFT work, from the MHDLAB_THREADS environment variable."""
+def _threads() -> int:
+    """Task count of :func:`node_map`: ``MHDLAB_THREADS``, by default the CPUs this process may use."""
     try:
-        return max(1, int(os.environ.get("MHDLAB_THREADS", "1")))
+        cpus = len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        cpus = os.cpu_count() or 1
+    try:
+        return max(1, int(os.environ.get("MHDLAB_THREADS", cpus)))
     except ValueError:
-        return 1
+        return cpus
+
+
+@lru_cache(maxsize=None)
+def _pool(threads: int) -> ThreadPoolExecutor:
+    return ThreadPoolExecutor(threads, thread_name_prefix="mhdlab")
+
+
+def node_map(fn, count: int):
+    """Iterate ``fn(0), ..., fn(count - 1)`` in order, computed on up to T threads.
+
+    T is ``MHDLAB_THREADS``, by default the CPUs this process may use (``0``
+    counts as 1, a non-integer as the default).  At most T calls are in
+    flight, so a consumer that streams the results holds at most T of them.
+    The calls run under the caller's NumPy floating-point error state, which
+    pool threads do not inherit.  When a call raises, or the consumer stops
+    early, the calls not yet started are cancelled and the running ones are
+    waited for.  ``fn`` must not itself call ``node_map``: the pool is fixed.
+    """
+    err = np.geterr()
+
+    def task(i):
+        with np.errstate(**err):
+            return fn(i)
+
+    threads = _threads()
+    if threads == 1:
+        return map(task, range(count))
+    return _ordered(_pool(threads), task, count, threads)
+
+
+def _ordered(pool: ThreadPoolExecutor, task, count: int, depth: int):
+    """The results of ``task(0..count-1)`` in order, with at most ``depth`` of them submitted at a time."""
+    pending = deque()
+    try:
+        for i in range(count):
+            pending.append(pool.submit(task, i))
+            if len(pending) == depth:
+                yield pending.popleft().result()
+        while pending:
+            yield pending.popleft().result()
+    finally:
+        for f in pending:
+            f.cancel()
+        wait(pending)
 
 
 @dataclass(frozen=True)
@@ -187,23 +240,23 @@ class SpectralField:
 
 def _fwd(values: np.ndarray) -> np.ndarray:
     """Forward transform to the half spectrum of per-mode coefficients of exp(i k.x)."""
-    return _sfft.rfftn(values, axes=(-3, -2, -1), workers=_workers()) / values.shape[-1] ** 3
+    return _sfft.rfftn(values, axes=(-3, -2, -1)) / values.shape[-1] ** 3
 
 
 def _inv(coeffs: np.ndarray) -> np.ndarray:
     """Inverse of :func:`_fwd`: the real field of a half spectrum."""
     n = coeffs.shape[-2]  # the last axis holds only n//2 + 1 modes
-    return _sfft.irfftn(coeffs * n**3, s=(n, n, n), axes=(-3, -2, -1), workers=_workers())
+    return _sfft.irfftn(coeffs * n**3, s=(n, n, n), axes=(-3, -2, -1))
 
 
 def to_spectral(f: ScalarField) -> SpectralField:
     """Full ``(n, n, n)`` spectrum of a real scalar field."""
-    return SpectralField(f.grid, _sfft.fftn(f.values, workers=_workers()) / f.grid.n**3)
+    return SpectralField(f.grid, _sfft.fftn(f.values) / f.grid.n**3)
 
 
 def to_physical(s: SpectralField) -> ScalarField:
     """Inverse of :func:`to_spectral`, discarding the round-off imaginary part."""
-    return ScalarField(s.grid, _sfft.ifftn(s.coefficients * s.grid.n**3, workers=_workers()).real)
+    return ScalarField(s.grid, _sfft.ifftn(s.coefficients * s.grid.n**3).real)
 
 
 def _same_grid(*fields: Field) -> Grid:

@@ -16,11 +16,16 @@ Duhamel integral advances node by node with the semigroup recursion
 multiplier of the step ``h = t_m - t_{m-1}`` and ``A(h)``, ``B(h)`` fold the
 Gauss-Legendre weights of the linearly interpolated forcing over that step,
 so every mesh, graded ones included, gets the same quadrature as the direct
-sum over all earlier subintervals.  The forcing of a node is computed inside
-that loop from ``u, w, b, j``, one inverse transform of a stored spectrum
-each, and dropped after the next step.  The new spectra ``exp(-t_m |k|^2)
-w0_hat - acc_m`` are written straight into the new trace, as are the zeroth
-iterate (the sweep with zero forcing) and the nodes of the Heun stepper.
+sum over all earlier subintervals.  The forcing of a node is computed from
+``u, w, b, j``, one inverse transform of a stored spectrum each, and dropped
+after the next step.  The new spectra ``exp(-t_m |k|^2) w0_hat - acc_m`` are
+written straight into the new trace, as are the zeroth iterate (the sweep
+with zero forcing) and the nodes of the Heun stepper.
+
+The forcings of the nodes are independent, so they stream in node order from
+:func:`~mhdlab.fields.node_map`, on up to ``MHDLAB_THREADS`` threads (by
+default the CPUs the process may use).  The recursion and the checks stay on
+the calling thread, so the trace is the same for any thread count.
 
 Solenoidality holds by construction (the flux is the divergence of an
 antisymmetric tensor, the source a curl), so it is checked once per initial
@@ -47,6 +52,7 @@ from .fields import (
     _inv,
     _same_grid,
     _tables,
+    node_map,
 )
 from .kernels import _biot_savart_hat, _require_solenoidal
 from .morrey import BallSampling, WeightedSeminorms, weighted_seminorms
@@ -357,8 +363,8 @@ def picard_sweep(trace: MhdTrace, w0: VectorField, j0: VectorField) -> MhdTrace:
     out = np.empty_like(trace.spectra)
     acc = np.zeros_like(trace.spectra[:, 0])
     prev = None
-    for m, t in enumerate(mesh.nodes):
-        force = _forcing_hats(*trace.spectra[:, m], grid)
+    forces = node_map(lambda m: _forcing_hats(*trace.spectra[:, m], grid), len(mesh.nodes))
+    for m, (t, force) in enumerate(zip(mesh.nodes, forces)):
         if m > 0:
             mult = _step_multipliers(k2, t - mesh.nodes[m - 1], mesh.quad_order)
             for a, fp, fn in zip(acc, prev, force):

@@ -30,7 +30,7 @@ from .fields import (
     _inv,
     _magnitude_values,
     _tables,
-    _workers,
+    node_map,
 )
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -91,7 +91,7 @@ def _ball_kernel(n: int, l: float, r: float):
     s2 = o[:, None, None] ** 2 + o[None, :, None] ** 2 + o[None, None, :] ** 2
     thr = (r / (l / n)) ** 2
     mask = (s2 < thr).astype(np.float64)
-    kern = _sfft.rfftn(mask, workers=_workers())
+    kern = _sfft.rfftn(mask)
     kern.setflags(write=False)
     return kern, int(mask.sum())
 
@@ -101,27 +101,33 @@ def ball_cell_count(grid: Grid, r: float) -> int:
     return _ball_kernel(grid.n, grid.l, r)[1]
 
 
-def _candidates(grid: Grid, mag: np.ndarray, mp: MorreyParams, sampling: BallSampling):
-    """Yield (value, center_index_tuple_or_None, radius) candidates for the sup of ``mag``."""
-    g = mag ** mp.p * grid.spacing**3
-    del mag  # the generator's frame would keep it alive through the radius loop
-    ghat = _sfft.rfftn(g, workers=_workers())
+def _candidates(grid: Grid, mags: np.ndarray, mp: MorreyParams, sampling: BallSampling):
+    """Yield (value, center_index_tuple_or_None, radius) candidates for the sup of each of ``mags``.
+
+    ``mags`` stacks magnitude arrays along its first axis.  The candidates
+    come radius by radius, one per array in stack order; one forward
+    transform covers the stack and each radius takes one inverse.
+    """
+    g = mags ** mp.p * grid.spacing**3
+    del mags  # the generator's frame would keep it alive through the radius loop
+    ghat = _sfft.rfftn(g, axes=(-3, -2, -1))
     st = sampling.stride
     for r in sampling.radii(grid):
         kern, _ = _ball_kernel(grid.n, grid.l, r)
-        mass = _sfft.irfftn(ghat * kern, s=g.shape, workers=_workers())
-        sub = np.maximum(mass[::st, ::st, ::st], 0.0)
-        idx = np.unravel_index(np.argmax(sub), sub.shape)
-        val = r ** (-mp.lam / mp.p) * sub[idx] ** (1.0 / mp.p)
-        yield float(val), tuple(st * i for i in idx), r
+        mass = _sfft.irfftn(ghat * kern, s=g.shape[1:], axes=(-3, -2, -1))
+        for sub in np.maximum(mass[:, ::st, ::st, ::st], 0.0):
+            idx = np.unravel_index(np.argmax(sub), sub.shape)
+            val = r ** (-mp.lam / mp.p) * sub[idx] ** (1.0 / mp.p)
+            yield float(val), tuple(st * i for i in idx), r
     if mp.lam == 0.0:
         # sup over arbitrarily large radii degenerates to the global integral
-        yield float(g.sum() ** (1.0 / mp.p)), None, math.inf
+        for gi in g:
+            yield float(gi.sum() ** (1.0 / mp.p)), None, math.inf
 
 
 def morrey_norm(f: Field, mp: MorreyParams, sampling: BallSampling = BallSampling()) -> float:
     """Discretized Morrey norm: max over sampled centers and radii of the scaled ball mass."""
-    return max(v for v, _, _ in _candidates(f.grid, _magnitude_values(f), mp, sampling))
+    return max(v for v, _, _ in _candidates(f.grid, _magnitude_values(f)[None], mp, sampling))
 
 
 def morrey_norm_detail(
@@ -132,7 +138,7 @@ def morrey_norm_detail(
     The whole-box candidate (zero scaling exponent only) is reported with
     radius ``inf`` and the origin as center.
     """
-    best = max(_candidates(f.grid, _magnitude_values(f), mp, sampling), key=lambda c: c[0])
+    best = max(_candidates(f.grid, _magnitude_values(f)[None], mp, sampling), key=lambda c: c[0])
     val, idx, r = best
     h = f.grid.spacing
     center = (0.0, 0.0, 0.0) if idx is None else tuple(h * i for i in idx)
@@ -159,13 +165,19 @@ class WeightedSeminorms:
         }
 
 
-def _gradient_norm(vh: np.ndarray, grid: Grid, mp: MorreyParams, sampling: BallSampling) -> float:
-    """Morrey norm of ``|grad v|`` from the half spectrum ``vh``; an overflow gives a non-finite norm."""
+def _node_norms(vh: np.ndarray, grid: Grid, mp: MorreyParams, sampling: BallSampling) -> tuple[float, float]:
+    """Morrey norms of ``|v|`` and ``|grad v|`` from the half spectrum ``vh``.
+
+    An overflow gives non-finite norms.
+    """
+    n = grid.n
     kd = _tables(grid)["kd"]
-    acc = np.zeros((grid.n,) * 3)
-    for i in range(3):
-        acc += np.sum(_inv(1j * kd * vh[i][None]) ** 2, axis=0)
-    return max(val for val, _, _ in _candidates(grid, np.sqrt(acc, out=acc), mp, sampling))
+    # (d v / d x_i)**2 summed over i; the n**3 of the inverse folds exactly
+    # into the multiplier, because n is a power of two
+    sq = sum(_sfft.irfftn((1j * n**3) * kd[i] * vh, s=(n,) * 3, axes=(-3, -2, -1)) ** 2 for i in range(3))
+    mags = np.stack([np.sum(_inv(vh) ** 2, axis=0), np.sum(sq, axis=0)])
+    vals = [v for v, _, _ in _candidates(grid, np.sqrt(mags, out=mags), mp, sampling)]
+    return max(vals[0::2]), max(vals[1::2])
 
 
 def _sup_weighted(nodes, values, exponent) -> float:
@@ -208,10 +220,14 @@ def weighted_seminorms(
     a0 = 2.0 * p / (2.0 * p - 3.0 + q)
     a1 = 2.0 * p / (3.0 * p - 3.0 + q)
 
-    om = [morrey_norm(w, mp, sampling) for w in trace.omega]
-    jm = [morrey_norm(j, mp, sampling) for j in trace.current]
-    om_g = [_gradient_norm(wh, trace.grid, mp, sampling) for wh in trace.spectra[0]]
-    jm_g = [_gradient_norm(jh, trace.grid, mp, sampling) for jh in trace.spectra[1]]
+    count = len(nodes)
+
+    def task(i):  # one per (field, node): the vorticity nodes, then the current nodes
+        return _node_norms(trace.spectra[divmod(i, count)], trace.grid, mp, sampling)
+
+    norms = list(node_map(task, 2 * count))
+    om, om_g = zip(*norms[:count])
+    jm, jm_g = zip(*norms[count:])
 
     return WeightedSeminorms(
         w0=_sup_weighted(nodes, om, e0),

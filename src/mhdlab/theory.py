@@ -14,8 +14,6 @@ from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
-from scipy.integrate import quad
-from scipy.optimize import brentq
 
 from .fields import (
     ScalarField,
@@ -40,6 +38,7 @@ def _split_beta(a: float, b: float, t: float) -> float:
     Each half removes its endpoint singularity (exponent below 1) by the
     substitution ``u = s**expo`` in the distance to that endpoint.
     """
+    from scipy.integrate import quad  # imported on use: it is most of the package's import time
 
     def half_from_zero(expo_near: float, expo_far: float) -> float:
         # int_0^(t/2) (t-s)^(expo_far-1) s^(expo_near-1) ds  with u = s**expo_near
@@ -248,6 +247,8 @@ def e2_witness_search(rq: RegionQuery, samples: int = 10_000, tol: float = 1e-9)
     residuals within ``tol`` (or None).  Absence of a witness is a valid
     outcome, not an error.
     """
+    from scipy.optimize import brentq  # imported on use, like quad in _split_beta
+
     if not region_e1(rq.p, rq.q, rq.p0, rq.q0):
         raise ValueError("base exponents (p, q, p0, q0) are outside the admissible region")
     if not 0 <= rq.q1 - rq.q0_tilde < 1:

@@ -9,18 +9,18 @@ import math
 import numpy as np
 from scipy import fft as sfft
 
-from mhdlab.fields import Field, Grid, ScalarField, _fwd, _inv, _magnitude_values, _tables, _workers
+from mhdlab.fields import Field, Grid, ScalarField, _fwd, _inv, _magnitude_values, _tables
 from mhdlab.morrey import MorreyParams
 
 
 def fwd_full(values: np.ndarray) -> np.ndarray:
     """Full complex forward transform to per-mode coefficients of exp(i k.x)."""
-    return sfft.fftn(values, axes=(-3, -2, -1), workers=_workers()) / values.shape[-1] ** 3
+    return sfft.fftn(values, axes=(-3, -2, -1)) / values.shape[-1] ** 3
 
 
 def inv_full(coeffs: np.ndarray) -> np.ndarray:
     """Inverse of :func:`fwd_full`, discarding the round-off imaginary part."""
-    return sfft.ifftn(coeffs * coeffs.shape[-1] ** 3, axes=(-3, -2, -1), workers=_workers()).real
+    return sfft.ifftn(coeffs * coeffs.shape[-1] ** 3, axes=(-3, -2, -1)).real
 
 
 def tables_full(grid: Grid) -> dict:

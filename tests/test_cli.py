@@ -2,10 +2,15 @@
 
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import mhdlab
 from mhdlab.cli import main
 from mhdlab.field_io import read_field, write_field
 from mhdlab.fields import ScalarField, make_grid
@@ -248,3 +253,17 @@ class TestNorms:
         assert main(["norms", str(bad), "--exponents", "1:0"]) == 1
         err = capsys.readouterr().err
         assert "offset" in err or "magic" in err or "truncated" in err
+
+
+def test_import_loads_no_quadrature_or_root_finder_and_starts_no_thread():
+    # scipy.integrate and scipy.optimize are imported by the theory functions
+    # that use them; together they were most of the CLI's import time
+    code = (
+        "import sys, threading, mhdlab.cli\n"
+        "print(sorted(m for m in sys.modules if m.startswith(('scipy.integrate', 'scipy.optimize'))))\n"
+        "print(threading.active_count())"
+    )
+    src = str(Path(mhdlab.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.split("\n")[:2] == ["[]", "1"]

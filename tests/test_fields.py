@@ -1,6 +1,10 @@
 """Grid, field containers, spectral operators, norms, and the MHF1 format."""
 
 import math
+import sys
+import threading
+import time
+import warnings
 
 import numpy as np
 import pytest
@@ -15,6 +19,7 @@ from mhdlab.fields import (
     gradient,
     lp_norm,
     make_grid,
+    node_map,
     project_div_free,
     to_physical,
     to_spectral,
@@ -82,6 +87,66 @@ class TestTransforms:
         c = to_spectral(f).coefficients
         spectral = math.sqrt(grid32.volume * float(np.sum(np.abs(c) ** 2)))
         assert abs(lp_norm(f, 2) - spectral) <= 1e-10 * spectral
+
+
+class TestNodeMap:
+    @pytest.mark.parametrize("threads", ["1", "2", "3", "0", "abc"])
+    def test_results_in_order_for_any_setting(self, threads, monkeypatch):
+        # 0 and non-integers fall back to one thread and the CPU count
+        monkeypatch.setenv("MHDLAB_THREADS", threads)
+        assert list(node_map(lambda i: i * i, 12)) == [i * i for i in range(12)]
+        assert list(node_map(lambda i: i, 0)) == []
+
+    def test_order_holds_under_fast_thread_switching(self, monkeypatch):
+        # more threads than cores, switching as often as the interpreter allows
+        monkeypatch.setenv("MHDLAB_THREADS", "3")
+        old = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for _ in range(20):
+                assert list(node_map(lambda i: np.full(64, i).sum(), 200)) == [64 * i for i in range(200)]
+        finally:
+            sys.setswitchinterval(old)
+
+    @pytest.mark.parametrize("threads", ["2", "3"])
+    def test_failed_task_cancels_or_drains_the_lookahead(self, threads, monkeypatch):
+        monkeypatch.setenv("MHDLAB_THREADS", threads)
+        lock = threading.Lock()
+        started, finished = set(), set()
+
+        def task(i):
+            with lock:
+                started.add(i)
+            time.sleep(0.02)
+            with lock:
+                finished.add(i)
+            if i == 1:
+                raise KeyError(i)
+            return i
+
+        with pytest.raises(KeyError):
+            list(node_map(task, 50))
+        # nothing runs on after the error, and at most T calls were ever in flight
+        assert started == finished
+        assert max(started) <= int(threads)
+
+        started.clear()
+        finished.clear()
+        results = node_map(task, 50)
+        assert next(results) == 0
+        results.close()  # a consumer that stops early
+        assert started == finished and max(started) <= int(threads)
+
+    @pytest.mark.parametrize("threads", ["1", "2"])
+    def test_tasks_run_under_the_callers_error_state(self, threads, monkeypatch):
+        monkeypatch.setenv("MHDLAB_THREADS", threads)
+        big = np.full(4, 1e308)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with np.errstate(over="ignore"):
+                assert all(np.isinf(x).all() for x in node_map(lambda i: big * (i + 10), 3))
+            with np.errstate(over="raise"), pytest.raises(FloatingPointError):
+                list(node_map(lambda i: big * (i + 10), 3))
 
 
 class TestDifferentialOperators:

@@ -25,6 +25,7 @@ from mhdlab.mild import (
     vorticity_flux,
     weak_star_check,
 )
+from mhdlab.morrey import BallSampling, weighted_seminorms
 
 from .conftest import rel_max_err, solenoidal_vector
 from .oracles import duhamel_direct
@@ -462,32 +463,64 @@ class TestReferenceTimestepper:
 
 
 class TestThreadInvariance:
-    """Results must not depend on the FFT thread count (``MHDLAB_THREADS``)."""
+    """Results must not depend on the thread count of the node map (``MHDLAB_THREADS``)."""
+
+    THREADS = ("1", "2", "3")
 
     @staticmethod
     def _arrays(trace):
         return [trace.spectra] + [f.values for f in trace.omega + trace.current]
 
-    def test_picard_and_stepper_bitwise_equal_for_1_and_2_threads(self, grid16, monkeypatch):
+    def test_picard_and_stepper_bitwise_equal_for_1_2_and_3_threads(self, grid16, monkeypatch):
         spec = {
             "omega": {"family": "random_divfree", "seed": 3, "cutoff": 4, "amplitude": 0.5},
             "j": {"family": "random_divfree", "seed": 4, "cutoff": 4, "amplitude": 0.5},
         }
         w0, j0 = generate_initial_data(spec, grid16)
         mesh = TimeMesh.uniform(0.2, 5)
+        # a zero scaling exponent adds the whole-box candidate; stride 1 and two
+        # radii per octave take every center and more radii
+        fine = BallSampling(stride=1, radii_per_octave=2)
         runs = []
-        for threads in ("1", "2"):
+        for threads in self.THREADS:
             monkeypatch.setenv("MHDLAB_THREADS", threads)
             trace, report = run_picard(w0, j0, mesh, tol=1e-12)
             stepped = reference_timestepper(w0, j0, TimeMesh.uniform(0.02, 3), dt=0.01)
+            extra = weighted_seminorms(trace, 1.6, 0.0, fine)
             # the views are formed here, under this thread count
-            runs.append((report, self._arrays(trace) + self._arrays(stepped)))
-        (ra, xa), (rb, xb) = runs
-        assert ra.sweep_count > 1 and ra.deltas == rb.deltas
-        assert [s.seminorms for s in ra.sweeps] == [s.seminorms for s in rb.sweeps]
-        assert len(xa) == len(xb) == 2 + 2 * (5 + 3)
-        for x, y in zip(xa, xb):
-            assert np.array_equal(x, y)
+            runs.append((report, extra, self._arrays(trace) + self._arrays(stepped)))
+        ra, ea, xa = runs[0]
+        assert ra.sweep_count > 1 and all(math.isfinite(v) and v > 0 for v in ea.as_dict().values())
+        assert len(xa) == 2 + 2 * (5 + 3)
+        for rb, eb, xb in runs[1:]:
+            assert ra.deltas == rb.deltas
+            assert [s.seminorms for s in ra.sweeps] == [s.seminorms for s in rb.sweeps]
+            assert ea == eb
+            assert len(xb) == len(xa)
+            for x, y in zip(xa, xb):
+                assert np.array_equal(x, y)
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("amplitude", [30.0, 1e100])
+    def test_diverging_run_bitwise_equal_for_1_2_and_3_threads(self, grid16, monkeypatch, amplitude):
+        # amplitude 30 overflows in the sweep after about ten sweeps; at 1e100
+        # the first sweep's seminorms overflow on the pool threads, which must
+        # run under run_picard's error state, or the overflow raises here as a
+        # RuntimeWarning instead of ending the run with delta = inf
+        spec = {
+            "omega": {"family": "random_divfree", "seed": 11, "cutoff": 4, "amplitude": amplitude},
+            "j": {"family": "random_divfree", "seed": 12, "cutoff": 4, "amplitude": amplitude},
+        }
+        w0, j0 = generate_initial_data(spec, grid16)
+        runs = []
+        for threads in self.THREADS:
+            monkeypatch.setenv("MHDLAB_THREADS", threads)
+            runs.append(run_picard(w0, j0, TimeMesh.uniform(1.0, 9), tol=1e-14, max_sweeps=20))
+        trace_a, report_a = runs[0]
+        assert report_a.deltas[-1] == math.inf and report_a.sweep_count < 20
+        for trace_b, report_b in runs[1:]:
+            assert report_b.sweeps == report_a.sweeps
+            assert np.array_equal(trace_b.spectra, trace_a.spectra)
 
 
 class TestWeakStar:
