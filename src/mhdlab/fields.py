@@ -167,6 +167,11 @@ def _tables(grid: Grid):
     return _spectral_tables(grid.n, grid.l)
 
 
+def _dealias_hat(hat: np.ndarray, grid: Grid) -> np.ndarray:
+    """Half spectrum ``hat`` with every mode outside the 2/3-rule cube zeroed."""
+    return np.where(_tables(grid)["keep"], hat, 0.0)
+
+
 def _readonly(a: np.ndarray) -> np.ndarray:
     a = np.ascontiguousarray(a, dtype=np.float64)
     a.setflags(write=False)
@@ -314,10 +319,8 @@ def dealias(s: SpectralField) -> SpectralField:
 
 
 def dealias_field(f: Field) -> Field:
-    """Physical-space convenience wrapper around :func:`dealias`."""
-    keep = _tables(f.grid)["keep"]
-    out = _inv(np.where(keep, _fwd(f.values), 0.0))
-    return type(f)(f.grid, out)
+    """The field with every mode outside the 2/3-rule cube zeroed, as :func:`dealias` does to a spectrum."""
+    return type(f)(f.grid, _inv(_dealias_hat(_fwd(f.values), f.grid)))
 
 
 def _magnitude_values(f: Field) -> np.ndarray:

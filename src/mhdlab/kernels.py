@@ -25,33 +25,35 @@ from .fields import (
 SOLENOIDAL_TOL = 1e-8
 
 
-def heat_propagate(f: Field, t: float, nu: float = 1.0) -> Field:
-    """Apply the heat semigroup, multiplier exp(-nu*t*|k|^2); t=0 is the identity."""
+def _apply(f: Field, mult: np.ndarray) -> Field:
+    """The field of the same kind with spectrum ``mult`` times that of ``f``."""
+    return type(f)(f.grid, _inv(mult * _fwd(f.values)))
+
+
+def heat_propagate(f: Field, t: float) -> Field:
+    """Apply the heat semigroup, multiplier exp(-t*|k|^2); t=0 is the identity."""
     if t < 0:
         raise ValueError(f"heat propagation requires t >= 0, got {t}")
     if t == 0:
         return f
-    k2 = _tables(f.grid)["k2"]
-    mult = np.exp(-nu * t * k2)
-    return type(f)(f.grid, _inv(mult * _fwd(f.values)))
+    return _apply(f, np.exp(-t * _tables(f.grid)["k2"]))
 
 
-def heat_grad_propagate(f: ScalarField, t: float, nu: float = 1.0) -> VectorField:
-    """Gradient of the heat-propagated field, multiplier i*k*exp(-nu*t*|k|^2); t > 0."""
+def heat_grad_propagate(f: ScalarField, t: float) -> VectorField:
+    """Gradient of the heat-propagated field, multiplier i*k*exp(-t*|k|^2); t > 0."""
     if t <= 0:
         raise ValueError(f"gradient propagation requires t > 0, got {t}")
     tab = _tables(f.grid)
-    mult = np.exp(-nu * t * tab["k2"])
-    fh = mult * _fwd(f.values)
+    fh = np.exp(-t * tab["k2"]) * _fwd(f.values)
     return VectorField(f.grid, _inv(1j * tab["kd"] * fh[None]))
 
 
-def heat_time_derivative(f: ScalarField, t: float, nu: float = 1.0) -> ScalarField:
-    """Time derivative of the heat flow, multiplier -nu*|k|^2*exp(-nu*t*|k|^2); t > 0."""
+def heat_time_derivative(f: ScalarField, t: float) -> ScalarField:
+    """Time derivative of the heat flow, multiplier -|k|^2*exp(-t*|k|^2); t > 0."""
     if t <= 0:
         raise ValueError(f"time derivative requires t > 0, got {t}")
     k2 = _tables(f.grid)["k2"]
-    return ScalarField(f.grid, _inv(-nu * k2 * np.exp(-nu * t * k2) * _fwd(f.values)))
+    return _apply(f, -k2 * np.exp(-t * k2))
 
 
 def _require_solenoidal(values: np.ndarray, vh: np.ndarray, grid, what: str) -> None:
@@ -101,8 +103,7 @@ def riesz_potential(f: ScalarField, delta: float) -> ScalarField:
     k2 = _tables(f.grid)["k2"]
     mult = np.zeros_like(k2)
     np.power(k2, -delta / 2.0, out=mult, where=k2 > 0)
-    fh = mult * _fwd(f.values)
-    return ScalarField(f.grid, _inv(fh))
+    return _apply(f, mult)
 
 
 def gaussian_bump(grid, sigma: float, center: tuple[float, float, float] | None = None,

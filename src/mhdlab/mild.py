@@ -10,17 +10,19 @@ time-convolved nonlinear forcing of the previous iterate.  Nonlinear products
 are formed in physical space and dealiased by the 2/3 rule before
 differentiation, so iterates of band-limited data stay exactly band-limited.
 
-A sweep stays in spectral space and costs O(M) in the number of nodes.  The
-Duhamel integral advances node by node with the semigroup recursion
+A sweep stays in spectral space and costs O(M) in the number of nodes.  One
+recursion advances the Duhamel integral node by node,
 ``acc_m = E(h) acc_{m-1} + A(h) F_{m-1} + B(h) F_m``: ``E(h)`` is the heat
 multiplier of the step ``h = t_m - t_{m-1}`` and ``A(h)``, ``B(h)`` fold the
 Gauss-Legendre weights of the linearly interpolated forcing over that step,
 so every mesh, graded ones included, gets the same quadrature as the direct
 sum over all earlier subintervals.  The forcing of a node is computed from
 ``u, w, b, j``, one inverse transform of a stored spectrum each, and dropped
-after the next step.  The new spectra ``exp(-t_m |k|^2) w0_hat - acc_m`` are
-written straight into the new trace, as are the zeroth iterate (the sweep
-with zero forcing) and the nodes of the Heun stepper.
+after the next step.  One writer puts ``exp(-t_m |k|^2) data - acc_m`` into
+the new trace: the zeroth iterate is the writer with zero integrals, a sweep
+the writer over the recursion.  Node 0 of every trace holds the initial
+spectra, so a sweep reads its data there.  The Heun stepper, the independent
+oracle, keeps its own loop.
 
 The forcings of the nodes are independent, so they stream in node order from
 :func:`~mhdlab.fields.node_map`, on up to ``MHDLAB_THREADS`` threads (by
@@ -38,6 +40,7 @@ the curl of the dealiased ``(u.grad)b - (b.grad)u`` for band-limited solenoidal
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -48,6 +51,7 @@ from .fields import (
     ScalarField,
     VectorField,
     _curl_hat,
+    _dealias_hat,
     _fwd,
     _inv,
     _same_grid,
@@ -107,7 +111,8 @@ class MhdTrace:
 
     ``spectra[0, m]`` is the vorticity spectrum and ``spectra[1, m]`` the
     current spectrum at node ``m``, each of shape ``(3, n, n, n//2 + 1)``;
-    the block is read-only.  The physical fields :attr:`omega` and
+    the block is read-only.  Node 0 holds the initial data, from which
+    :func:`picard_sweep` starts.  The physical fields :attr:`omega` and
     :attr:`current` are formed on each access, one inverse transform per
     node; velocity and magnetic field are their ``biot_savart`` images.
     """
@@ -176,11 +181,6 @@ class IterationReport:
     @property
     def deltas(self) -> tuple[float, ...]:
         return tuple(s.delta for s in self.sweeps)
-
-
-def _dealias_hat(hat: np.ndarray, grid: Grid) -> np.ndarray:
-    keep = _tables(grid)["keep"]
-    return np.where(keep, hat, 0.0)
 
 
 def _flux_hat(u: np.ndarray, w: np.ndarray, b: np.ndarray, j: np.ndarray, grid: Grid) -> np.ndarray:
@@ -284,12 +284,26 @@ def _step_multipliers(k2: np.ndarray, h: float, quad_order: int):
     return np.exp(-h * k2), a, b
 
 
-def _duhamel_step(acc: np.ndarray, f_prev: np.ndarray, f_next: np.ndarray, mult) -> None:
-    """``acc <- E acc + A f_prev + B f_next`` in place, for ``mult = (E, A, B)``."""
-    e, a, b = mult
-    acc *= e
-    acc += a * f_prev
-    acc += b * f_next
+def _duhamel(hats, mesh: TimeMesh, grid: Grid):
+    """Yield the spectral Duhamel integral ``acc_m`` of the forcing spectra ``hats``, node by node.
+
+    A node's forcing is an array or a tuple of equal arrays.  Each step is
+    ``acc <- E acc + A f_prev + B f_next``, taken one leading component at a
+    time so the temporaries stay one component large; the same array is
+    yielded every time, updated in place.
+    """
+    k2 = _tables(grid)["k2"]
+    for m, force in enumerate(hats):
+        if m == 0:
+            acc = np.zeros_like(force)
+        else:
+            e, a, b = _step_multipliers(k2, mesh.nodes[m] - mesh.nodes[m - 1], mesh.quad_order)
+            for acc_i, prev_i, force_i in zip(acc, prev, force):
+                acc_i *= e
+                acc_i += a * prev_i
+                acc_i += b * force_i
+        prev = force
+        yield acc
 
 
 def duhamel_integral(forcings, mesh: TimeMesh, t: float) -> VectorField:
@@ -299,15 +313,10 @@ def duhamel_integral(forcings, mesh: TimeMesh, t: float) -> VectorField:
     evaluated exactly at the Gauss-Legendre abscissae of each subinterval.
     """
     m = mesh.node_index(t)
+    if len(forcings) <= m:
+        raise ValueError(f"need a forcing at every node up to t = {t}, got {len(forcings)}")
     grid = _same_grid(*forcings)
-    k2 = _tables(grid)["k2"]
-    prev = _fwd(forcings[0].values)
-    acc = np.zeros_like(prev)
-    for a in range(m):
-        nxt = _fwd(forcings[a + 1].values)
-        mult = _step_multipliers(k2, mesh.nodes[a + 1] - mesh.nodes[a], mesh.quad_order)
-        _duhamel_step(acc, prev, nxt, mult)
-        prev = nxt
+    *_, acc = _duhamel((_fwd(f.values) for f in forcings[: m + 1]), mesh, grid)
     return VectorField(grid, _inv(acc))
 
 
@@ -330,25 +339,29 @@ def _datum_spectra(w0: VectorField, j0: VectorField) -> tuple[Grid, np.ndarray, 
     return grid, w0h, j0h
 
 
+def _write_trace(mesh: TimeMesh, grid: Grid, data: np.ndarray, accs, what: str) -> MhdTrace:
+    """The trace ``exp(-t_m |k|^2) data - acc_m`` at every node, for stacked initial spectra ``data``."""
+    k2 = _tables(grid)["k2"]
+    # every node in one block, released whole with the trace instead of fragmenting the heap
+    out = np.empty((2, len(mesh.nodes)) + data.shape[1:], dtype=data.dtype)
+    for m, (t, acc) in enumerate(zip(mesh.nodes, accs)):
+        np.multiply(np.exp(-t * k2), data, out=out[:, m])
+        out[:, m] -= acc
+        _require_finite(f"{what} at t = {t}", out[:, m])
+    return MhdTrace(mesh, grid, out)
+
+
 def heat_flow_trace(w0: VectorField, j0: VectorField, mesh: TimeMesh) -> MhdTrace:
     """The zeroth iterate: pure heat flow of the initial pair (a sweep with zero forcing).
 
     Raises ``ValueError`` unless both data are solenoidal and mean-free.
     """
     grid, w0h, j0h = _datum_spectra(w0, j0)
-    k2 = _tables(grid)["k2"]
-    # every node in one block, released whole with the trace instead of fragmenting the heap
-    out = np.empty((2, len(mesh.nodes)) + w0h.shape, dtype=w0h.dtype)
-    for m, t in enumerate(mesh.nodes):
-        heat = np.exp(-t * k2)
-        np.multiply(heat, w0h, out=out[0, m])
-        np.multiply(heat, j0h, out=out[1, m])
-        _require_finite(f"heat flow at t = {t}", out[:, m])
-    return MhdTrace(mesh, grid, out)
+    return _write_trace(mesh, grid, np.stack([w0h, j0h]), itertools.repeat(0.0), "heat flow")
 
 
-def picard_sweep(trace: MhdTrace, w0: VectorField, j0: VectorField) -> MhdTrace:
-    """One whole-trajectory fixed-point update.
+def picard_sweep(trace: MhdTrace) -> MhdTrace:
+    """One whole-trajectory fixed-point update from the initial spectra at node 0 of ``trace``.
 
     Evaluates the nonlinear terms of the previous iterate node by node and
     sets ``new(t) = heat_flow(initial, t) - duhamel(forcing, t)`` for both the
@@ -356,25 +369,9 @@ def picard_sweep(trace: MhdTrace, w0: VectorField, j0: VectorField) -> MhdTrace:
     the transport term enters the time derivative with a negative sign.
     Raises :class:`DivergenceError` when a new node is not finite.
     """
-    grid = trace.grid
-    mesh = trace.mesh
-    k2 = _tables(grid)["k2"]
-    w0h, j0h = _fwd(w0.values), _fwd(j0.values)
-    out = np.empty_like(trace.spectra)
-    acc = np.zeros_like(trace.spectra[:, 0])
-    prev = None
-    forces = node_map(lambda m: _forcing_hats(*trace.spectra[:, m], grid), len(mesh.nodes))
-    for m, (t, force) in enumerate(zip(mesh.nodes, forces)):
-        if m > 0:
-            mult = _step_multipliers(k2, t - mesh.nodes[m - 1], mesh.quad_order)
-            for a, fp, fn in zip(acc, prev, force):
-                _duhamel_step(a, fp, fn, mult)
-        prev = force
-        heat = np.exp(-t * k2)
-        np.subtract(heat * w0h, acc[0], out=out[0, m])
-        np.subtract(heat * j0h, acc[1], out=out[1, m])
-        _require_finite(f"sweep node at t = {t}", out[:, m])
-    return MhdTrace(mesh, grid, out)
+    grid, mesh, spectra = trace.grid, trace.mesh, trace.spectra
+    forces = node_map(lambda m: _forcing_hats(*spectra[:, m], grid), len(mesh.nodes))
+    return _write_trace(mesh, grid, spectra[:, 0], _duhamel(forces, mesh, grid), "sweep node")
 
 
 def trace_distance(a: MhdTrace, b: MhdTrace) -> float:
@@ -410,7 +407,6 @@ def run_picard(
     """
     if tol <= 0:
         raise ValueError("tolerance must be positive")
-    _same_grid(w0, j0)
     trace = heat_flow_trace(w0, j0, mesh)
     records = []
     converged = False
@@ -418,7 +414,7 @@ def run_picard(
         try:
             # overflow is reported by the finiteness checks, not by warnings
             with np.errstate(over="ignore", invalid="ignore"):
-                new = picard_sweep(trace, w0, j0)
+                new = picard_sweep(trace)
                 delta = trace_distance(new, trace)
                 _require_finite(f"sweep {k} distance", delta)
                 sem = weighted_seminorms(new, p, q, sampling) if report_seminorms else None
@@ -436,9 +432,9 @@ def run_picard(
     return trace, IterationReport(tuple(records), converged, tol)
 
 
-def mild_residual(trace: MhdTrace, w0: VectorField, j0: VectorField) -> float:
-    """How far a trace is from satisfying the integral equation (one extra sweep)."""
-    return trace_distance(picard_sweep(trace, w0, j0), trace)
+def mild_residual(trace: MhdTrace) -> float:
+    """How far a trace is from satisfying the integral equation (one extra sweep from its node 0)."""
+    return trace_distance(picard_sweep(trace), trace)
 
 
 def max_retained_k2(grid: Grid) -> float:

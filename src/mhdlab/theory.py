@@ -18,6 +18,7 @@ import numpy as np
 from .fields import (
     ScalarField,
     VectorField,
+    _dealias_hat,
     _fwd,
     _inv,
     _same_grid,
@@ -25,7 +26,7 @@ from .fields import (
     divergence,
     gradient,
 )
-from .mild import _advection, _dealias_hat
+from .mild import _advection
 
 
 # ---------------------------------------------------------------------------
@@ -200,22 +201,26 @@ def _derive_from_q3(rq: RegionQuery, q3: float) -> E2Witness:
     return E2Witness(q2=q2, q3=q3, p_tilde=p_tilde, theta=theta)
 
 
+def _e2_signed(rq: RegionQuery, w: E2Witness) -> tuple[float, float, float, float, float]:
+    """Signed residuals of the q2, p_tilde, theta, q3 and weight identities of a witness."""
+    pp = _conjugate(rq.p)
+    return (
+        w.q2 - (w.q3 / pp + rq.q / rq.p),
+        1.0 / w.p_tilde - (1.0 / pp + 1.0 / (3.0 - w.q3)),
+        1.0 / w.p_tilde - (w.theta + (1.0 - w.theta) / rq.p),
+        w.q3 / w.p_tilde - (rq.q1 * w.theta + (rq.q / rq.p) * (1.0 - w.theta)),
+        (w.q2 - rq.q0_tilde + 1.0) / 2.0
+        - (
+            (rq.q1 - rq.q0_tilde) / 2.0 * w.theta
+            + (2.0 * rq.p - 3.0 + rq.q) / (2.0 * rq.p) * (2.0 - w.theta)
+        ),
+    )
+
+
 def e2_residuals(rq: RegionQuery, w: E2Witness) -> dict[str, float]:
     """Residuals of the defining equations of a witness (ranges checked separately)."""
-    pp = _conjugate(rq.p)
-    return {
-        "q2_identity": abs(w.q2 - (w.q3 / pp + rq.q / rq.p)),
-        "p_tilde_identity": abs(1.0 / w.p_tilde - (1.0 / pp + 1.0 / (3.0 - w.q3))),
-        "theta_identity": abs(1.0 / w.p_tilde - (w.theta + (1.0 - w.theta) / rq.p)),
-        "q3_identity": abs(w.q3 / w.p_tilde - (rq.q1 * w.theta + (rq.q / rq.p) * (1.0 - w.theta))),
-        "weight_identity": abs(
-            (w.q2 - rq.q0_tilde + 1.0) / 2.0
-            - (
-                (rq.q1 - rq.q0_tilde) / 2.0 * w.theta
-                + (2.0 * rq.p - 3.0 + rq.q) / (2.0 * rq.p) * (2.0 - w.theta)
-            )
-        ),
-    }
+    names = ("q2_identity", "p_tilde_identity", "theta_identity", "q3_identity", "weight_identity")
+    return {name: abs(r) for name, r in zip(names, _e2_signed(rq, w))}
 
 
 def e2_witness_in_range(rq: RegionQuery, w: E2Witness) -> bool:
@@ -255,16 +260,7 @@ def e2_witness_search(rq: RegionQuery, samples: int = 10_000, tol: float = 1e-9)
         raise ValueError(f"need 0 <= q1 - q0_tilde < 1, got {rq.q1 - rq.q0_tilde}")
 
     def resid_pair(q3: float) -> tuple[float, float]:
-        w = _derive_from_q3(rq, q3)
-        r = e2_residuals(rq, w)
-        return (
-            w.q3 / w.p_tilde - (rq.q1 * w.theta + (rq.q / rq.p) * (1.0 - w.theta)),
-            (w.q2 - rq.q0_tilde + 1.0) / 2.0
-            - (
-                (rq.q1 - rq.q0_tilde) / 2.0 * w.theta
-                + (2.0 * rq.p - 3.0 + rq.q) / (2.0 * rq.p) * (2.0 - w.theta)
-            ),
-        )
+        return _e2_signed(rq, _derive_from_q3(rq, q3))[3:]
 
     # Roots may sit on the boundary of the admissible ranges, so sign changes
     # are located over the whole computable interval and only the roots

@@ -204,6 +204,13 @@ class TestDuhamel:
         with pytest.raises(ValueError, match="not a mesh node"):
             duhamel_integral([_zero(g)] * 5, mesh, 0.42)
 
+    def test_rejects_missing_forcing(self):
+        g = make_grid(8, 2 * math.pi)
+        mesh = TimeMesh.uniform(1.0, 5)
+        assert np.abs(duhamel_integral([_zero(g)] * 3, mesh, 0.5).values).max() == 0.0
+        with pytest.raises(ValueError, match="need a forcing at every node"):
+            duhamel_integral([_zero(g)] * 3, mesh, 0.75)
+
 
 class TestPicardSweep:
     def test_distance_is_the_physical_l2_distance(self, grid16):
@@ -213,7 +220,7 @@ class TestPicardSweep:
         }
         w0, j0 = generate_initial_data(spec, grid16)
         a = heat_flow_trace(w0, j0, TimeMesh.uniform(0.2, 5))
-        b = picard_sweep(a, w0, j0)
+        b = picard_sweep(a)
         riemann = max(
             lp_norm(VectorField(grid16, wa.values - wb.values), 2)
             + lp_norm(VectorField(grid16, ja.values - jb.values), 2)
@@ -226,7 +233,7 @@ class TestPicardSweep:
         z = _zero(grid32)
         mesh = TimeMesh.uniform(1.0, 5)
         trace = heat_flow_trace(z, z, mesh)
-        new = picard_sweep(trace, z, z)
+        new = picard_sweep(trace)
         assert trace_distance(new, trace) == 0.0
 
     def test_hydrodynamic_reduction_is_exact(self, grid32):
@@ -235,15 +242,25 @@ class TestPicardSweep:
         mesh = TimeMesh.uniform(1.0, 9)
         trace = heat_flow_trace(w0, j0, mesh)
         for _ in range(2):
-            trace = picard_sweep(trace, w0, j0)
+            trace = picard_sweep(trace)
             assert all(np.abs(j.values).max() == 0.0 for j in trace.current)
             assert not np.any(trace.spectra[1])  # so b = biot_savart(j) is zero too
+
+    def test_node_zero_holds_the_datum_spectra(self, grid32):
+        # a sweep reads its initial data from node 0, so every trace must hold them there exactly
+        w0, j0 = _coupled_data(grid32, amplitude=1e-2)
+        mesh = TimeMesh.uniform(0.02, 3)
+        heat = heat_flow_trace(w0, j0, mesh)
+        oracle = reference_timestepper(w0, j0, mesh, dt=1.0 / max_retained_k2(grid32))
+        for trace in (heat, picard_sweep(heat), oracle):
+            assert np.array_equal(trace.spectra[0, 0], _fwd(w0.values))
+            assert np.array_equal(trace.spectra[1, 0], _fwd(j0.values))
 
     @staticmethod
     def _check_first_sweep(grid, mesh):
         w0, j0 = _coupled_data(grid, amplitude=1e-2)
         trace0 = heat_flow_trace(w0, j0, mesh)
-        swept = picard_sweep(trace0, w0, j0)
+        swept = picard_sweep(trace0)
         z = _zero(grid)
         omega0, current0 = trace0.omega, trace0.current
         velocity0 = [biot_savart(w) for w in omega0]
@@ -282,7 +299,7 @@ class TestPicardSweep:
         mesh = TimeMesh.uniform(0.5, 9)
         trace0 = heat_flow_trace(w0, j0, mesh)
         assert not np.any(trace0.spectra[0])  # so u = biot_savart(w) is zero too
-        swept = picard_sweep(trace0, w0, j0)
+        swept = picard_sweep(trace0)
         for t, j in zip(mesh.nodes, swept.current):
             expected = heat_propagate(j0, t).values
             assert rel_max_err(j.values, expected) <= 1e-12
@@ -316,7 +333,7 @@ class TestRunPicard:
         mesh = TimeMesh.uniform(1.0, 17)
         trace, report = run_picard(w0, j0, mesh, tol=1e-10, report_seminorms=False)
         assert report.converged
-        assert mild_residual(trace, w0, j0) <= 2e-10
+        assert mild_residual(trace) <= 2e-10
 
     def test_report_carries_seminorms(self, grid32):
         w0, j0 = _canonical_data(grid32)
