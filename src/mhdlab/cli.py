@@ -13,8 +13,9 @@ Subcommands:
 - ``norms field.mhf --exponents p:lam[,p:lam...]``: norm table as CSV.
 
 The ``MHDLAB_THREADS`` environment variable sets how many threads compute the
-per-node work of a sweep, of the seminorms and of ``series.csv`` (default: the
-CPUs the process may use); every output is the same for any value.
+per-node work of a sweep and of the seminorms, whose per-node norms
+``series.csv`` reuses (default: the CPUs the process may use); every output is
+the same for any value.
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ import time
 from pathlib import Path
 
 from .field_io import read_field, write_field
-from .fields import lp_norm, make_grid, node_map
+from .fields import lp_norm, make_grid
 from .initial_data import generate_initial_data, initial_size_report
 from .mild import (
     DivergenceError,
@@ -39,7 +40,7 @@ from .mild import (
     run_picard,
     trace_distance,
 )
-from .morrey import BallSampling, MorreyParams, morrey_norm, morrey_norm_detail
+from .morrey import BallSampling, MorreyParams, WeightedSeminorms, morrey_norm_detail, weighted_seminorms
 from .theory import ConstantsLedger, RegionQuery, e2_witness_search, region_a1, region_a2, region_e1
 from .verify import run_suite
 
@@ -86,15 +87,13 @@ def _float_cell(x: float) -> str:
     return repr(float(x))
 
 
-def _series_csv(nodes, omega, current, p: float, q: float, sampling: BallSampling) -> str:
-    mp = MorreyParams(p, q)
+def _series_csv(nodes, omega, current, sem: WeightedSeminorms, p: float, q: float) -> str:
+    """Per-node table of a trace, with the Morrey norms that its (p, q) seminorms ``sem`` hold."""
     e0 = 1.0 - (3.0 - q) / (2.0 * p)
     buf = io.StringIO()
     writer = csv.writer(buf)
     writer.writerow(["t", "omega_l2", "j_l2", "omega_mpq", "j_mpq", "weighted_omega", "weighted_j"])
-    fields = (*omega, *current)
-    norms = list(node_map(lambda i: morrey_norm(fields[i], mp, sampling), len(fields)))
-    for t, w, j, mw, mj in zip(nodes, omega, current, norms, norms[len(omega) :]):
+    for t, w, j, mw, mj in zip(nodes, omega, current, sem.omega_norms, sem.current_norms):
         wt = 0.0 if t == 0.0 else t**e0
         writer.writerow(
             [_float_cell(v) for v in (t, lp_norm(w, 2), lp_norm(j, 2), mw, mj, wt * mw, wt * mj)]
@@ -148,12 +147,15 @@ def _cmd_simulate(args) -> int:
     oracle_cfg = cfg.get("oracle", {})
     oracle_distance = None
     if oracle_cfg.get("enabled"):
-        dt = oracle_cfg.get("dt") or 1.0 / max_retained_k2(grid)
-        oracle = reference_timestepper(w0, j0, mesh, dt=float(dt))
+        dt = oracle_cfg.get("dt")
+        oracle = reference_timestepper(w0, j0, mesh, dt=1.0 / max_retained_k2(grid) if dt is None else float(dt))
         oracle_distance = trace_distance(oracle, trace)
 
+    # the last seminorms belong to the returned trace; none if the first sweep diverged
+    sem = next((s.seminorms for s in reversed(report.sweeps) if s.seminorms), None)
+    sem = sem or weighted_seminorms(trace, p, q, sampling)
     omega, current = trace.omega, trace.current
-    series = _series_csv(mesh.nodes, omega, current, p, q, sampling)
+    series = _series_csv(mesh.nodes, omega, current, sem, p, q)
     (out_dir / "series.csv").write_text(series, encoding="utf-8")
     for m, (w, j) in enumerate(zip(omega, current)):
         write_field(out_dir / f"omega_{m:04d}.mhf", w)

@@ -6,12 +6,12 @@ discrete Fourier transform, which makes them exact (to round-off) for
 band-limited data.  Physical arrays are float64 and indexed ``[i1, i2, i3]``
 with axis 0 along the first coordinate.
 
-The private spectral layer (``_fwd``, ``_inv``, ``_tables``) that every
-operator of the package runs on uses the real-FFT half spectrum of shape
-``(..., n, n, n//2 + 1)``: the last axis keeps the wavenumbers ``0..n/2``, and
-the other half follows from ``c(-k) == conj(c(k))``.  The public
-:class:`SpectralField` (``to_spectral``, ``to_physical``, ``dealias``) keeps
-the full ``(n, n, n)`` spectrum.
+Every operator of the package runs on one spectral layer (``_fwd``, ``_inv``,
+``_tables``), the real-FFT half spectrum of shape ``(..., n, n, n//2 + 1)``:
+the last axis keeps the wavenumbers ``0..n/2``, and the other half follows
+from ``c(-k) == conj(c(k))``.  The public :class:`SpectralField`
+(``to_spectral``, ``to_physical``, ``dealias``) is a typed wrapper of the same
+half spectrum.
 
 Every transform runs on one FFT worker.  Work that is independent per time
 node runs on :func:`node_map`, whose thread count ``MHDLAB_THREADS`` sets.
@@ -123,11 +123,6 @@ def make_grid(n: int, l: float) -> Grid:
     return Grid(n, l)
 
 
-def _retained(n: int) -> np.ndarray:
-    """Per-axis 2/3-rule mask over the wavenumbers in numpy FFT order."""
-    return np.abs(np.fft.fftfreq(n, d=1.0 / n)) <= n / 3.0
-
-
 @lru_cache(maxsize=32)
 def _spectral_tables(n: int, l: float):
     """Precomputed wavevector arrays on the real-FFT half grid.
@@ -155,7 +150,7 @@ def _spectral_tables(n: int, l: float):
     inv_k2d = np.zeros_like(k2d)
     np.divide(1.0, k2d, out=inv_k2d, where=k2d > 0)
 
-    ax = _retained(n)
+    ax = np.abs(kint) <= n / 3.0
     keep = ax[:, None, None] & ax[None, :, None] & ax[None, None, :half]
 
     for arr in (kd, k2, k2d, inv_k2d, keep):
@@ -224,11 +219,11 @@ Field = ScalarField | VectorField
 
 @dataclass(frozen=True)
 class SpectralField:
-    """Fourier mirror of a real scalar field.
+    """Fourier mirror of a real scalar field, as its real-FFT half spectrum.
 
     ``coefficients[k1, k2, k3]`` is the coefficient of ``exp(i k.x)`` in numpy
-    FFT index order, with wavevectors ``2*pi/l`` times integer triples; real
-    fields satisfy ``c(-k) == conj(c(k))``.
+    FFT index order, with wavevectors ``2*pi/l`` times integer triples; the
+    last axis keeps ``k3 = 0..n/2`` only, the rest being ``c(-k) == conj(c(k))``.
     """
 
     grid: Grid
@@ -237,8 +232,8 @@ class SpectralField:
     def __post_init__(self) -> None:
         c = np.ascontiguousarray(self.coefficients, dtype=np.complex128)
         n = self.grid.n
-        if c.shape != (n, n, n):
-            raise ValueError(f"coefficients must have shape {(n, n, n)}, got {c.shape}")
+        if c.shape != (n, n, n // 2 + 1):
+            raise ValueError(f"coefficients must have shape {(n, n, n // 2 + 1)}, got {c.shape}")
         c.setflags(write=False)
         object.__setattr__(self, "coefficients", c)
 
@@ -255,13 +250,13 @@ def _inv(coeffs: np.ndarray) -> np.ndarray:
 
 
 def to_spectral(f: ScalarField) -> SpectralField:
-    """Full ``(n, n, n)`` spectrum of a real scalar field."""
-    return SpectralField(f.grid, _sfft.fftn(f.values) / f.grid.n**3)
+    """Half spectrum of a real scalar field."""
+    return SpectralField(f.grid, _fwd(f.values))
 
 
 def to_physical(s: SpectralField) -> ScalarField:
-    """Inverse of :func:`to_spectral`, discarding the round-off imaginary part."""
-    return ScalarField(s.grid, _sfft.ifftn(s.coefficients * s.grid.n**3).real)
+    """Inverse of :func:`to_spectral`."""
+    return ScalarField(s.grid, _inv(s.coefficients))
 
 
 def _same_grid(*fields: Field) -> Grid:
@@ -313,9 +308,7 @@ def project_div_free(v: VectorField) -> VectorField:
 
 def dealias(s: SpectralField) -> SpectralField:
     """Zero every mode with any ``|k_i| > n/3`` (2/3 rule); idempotent."""
-    ax = _retained(s.grid.n)
-    keep = ax[:, None, None] & ax[None, :, None] & ax[None, None, :]
-    return SpectralField(s.grid, np.where(keep, s.coefficients, 0.0))
+    return SpectralField(s.grid, _dealias_hat(s.coefficients, s.grid))
 
 
 def dealias_field(f: Field) -> Field:

@@ -155,14 +155,11 @@ def initial_size_report(
     Both the localized-mass (1, 1) norms and the configured (p0, q0) norms are
     reported; whether to enforce smallness in both is left to the experiment.
     """
-    mp11 = MorreyParams(1.0, 1.0)
-    mp0 = MorreyParams(p0, q0)
-    return {
-        "omega_m11": morrey_norm(w0, mp11, sampling),
-        "j_m11": morrey_norm(j0, mp11, sampling),
-        "omega_mp0q0": morrey_norm(w0, mp0, sampling),
-        "j_mp0q0": morrey_norm(j0, mp0, sampling),
-    }
+    mp11, mp0 = MorreyParams(1.0, 1.0), MorreyParams(p0, q0)
+    # one estimate per distinct exponent pair: the default (p0, q0) is (1, 1)
+    norms = {mp: (morrey_norm(w0, mp, sampling), morrey_norm(j0, mp, sampling)) for mp in {mp11, mp0}}
+    (w11, j11), (wp0, jp0) = norms[mp11], norms[mp0]
+    return {"omega_m11": w11, "j_m11": j11, "omega_mp0q0": wp0, "j_mp0q0": jp0}
 
 
 def box_study(spec: dict, grid: Grid, factors=(2,), sampling: BallSampling = BallSampling()) -> list[dict]:

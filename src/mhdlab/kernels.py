@@ -63,7 +63,7 @@ def _require_solenoidal(values: np.ndarray, vh: np.ndarray, grid, what: str) -> 
     dmax = float(np.abs(_inv(1j * (kd[0] * vh[0] + kd[1] * vh[1] + kd[2] * vh[2]))).max())
     if dmax > SOLENOIDAL_TOL * scale:
         raise ValueError(
-            f"{what} must be divergence-free: max |div| = {dmax:.3e} "
+            f"{what} is not divergence-free: max |div| = {dmax:.3e} "
             f"exceeds {SOLENOIDAL_TOL:.0e} * {scale:.3e}"
         )
     means = [abs(float(vh[i, 0, 0, 0].real)) for i in range(3)]

@@ -148,15 +148,13 @@ class MhdTrace:
             out.append(VectorField(self.grid, values))
         return tuple(out)
 
-    def validate(self, div_tol: float = 1e-8) -> None:
-        """Check that the vorticity and current of every node are divergence-free."""
-        from .fields import divergence, max_norm
-
-        for name, fields in (("omega", self.omega), ("current", self.current)):
-            for m, f in enumerate(fields):
-                scale = max(max_norm(f), np.finfo(float).tiny)
-                if max_norm(divergence(f)) > div_tol * scale:
-                    raise ValueError(f"node {m}: {name} is not divergence-free")
+    def validate(self) -> None:
+        """Check the stored spectra: every vorticity and current node finite, divergence-free and mean-free."""
+        for which, name in enumerate(("omega", "current")):
+            for m, (t, hat) in enumerate(zip(self.mesh.nodes, self.spectra[which])):
+                values = _inv(hat)
+                _require_finite(f"{name} at t = {t}", values)
+                _require_solenoidal(values, hat, self.grid, f"node {m}: {name}")
 
 
 @dataclass(frozen=True)
@@ -407,6 +405,8 @@ def run_picard(
     """
     if tol <= 0:
         raise ValueError("tolerance must be positive")
+    if max_sweeps < 1:
+        raise ValueError(f"max_sweeps must be at least 1, got {max_sweeps}")
     trace = heat_flow_trace(w0, j0, mesh)
     records = []
     converged = False

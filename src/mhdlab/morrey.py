@@ -147,7 +147,7 @@ def morrey_norm_detail(
 
 @dataclass(frozen=True)
 class WeightedSeminorms:
-    """Sup-weighted and time-integrated Morrey seminorms of one trace sweep."""
+    """Sup-weighted and time-integrated Morrey seminorms of one trace sweep, and the node norms they weigh."""
 
     w0: float
     j0: float
@@ -157,6 +157,8 @@ class WeightedSeminorms:
     j1: float
     w1_bar: float
     j1_bar: float
+    omega_norms: tuple[float, ...]  # Morrey norm of every node; not in as_dict
+    current_norms: tuple[float, ...]
 
     def as_dict(self) -> dict[str, float]:
         return {
@@ -238,6 +240,8 @@ def weighted_seminorms(
         j1=_sup_weighted(nodes, jm_g, e1),
         w1_bar=_time_lp(nodes, om_g, a1),
         j1_bar=_time_lp(nodes, jm_g, a1),
+        omega_norms=om,
+        current_norms=jm,
     )
 
 

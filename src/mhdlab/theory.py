@@ -106,13 +106,7 @@ def cor1_recursion(a1: float, b1: float, x0: float, k_max: int) -> tuple[np.ndar
     return arr, ok
 
 
-def lemma1_bound_check(
-    f: Callable[[float], float],
-    x_star: float,
-    x0: float,
-    k_max: int,
-    mono_samples: int = 65,
-) -> bool:
+def lemma1_bound_check(f: Callable[[float], float], x_star: float, x0: float, k_max: int) -> bool:
     """Check that iterating a monotone map from below its fixed point stays below it.
 
     ``f`` must be monotonically non-decreasing on ``[0, x_star]`` (spot-checked
@@ -123,7 +117,7 @@ def lemma1_bound_check(
         raise ValueError(f"start {x0} exceeds the fixed point {x_star}")
     if abs(f(x_star) - x_star) > 1e-9 * max(1.0, abs(x_star)):
         raise ValueError(f"{x_star} is not a fixed point of the map")
-    xs = np.linspace(0.0, x_star, mono_samples)
+    xs = np.linspace(0.0, x_star, 65)
     vals = np.array([f(x) for x in xs])
     drops = np.diff(vals)
     if np.any(drops < -1e-12):
@@ -236,20 +230,24 @@ def e2_witness_in_range(rq: RegionQuery, w: E2Witness) -> bool:
     )
 
 
-def _witness_valid(rq: RegionQuery, w: E2Witness, tol: float = 1e-9) -> bool:
+#: largest residual a witness of :func:`e2_witness_search` may leave
+_WITNESS_TOL = 1e-9
+
+
+def _witness_valid(rq: RegionQuery, w: E2Witness) -> bool:
     if not e2_witness_in_range(rq, w):
         return False
     res = e2_residuals(rq, w)
-    return all(v <= tol for v in res.values())
+    return all(v <= _WITNESS_TOL for v in res.values())
 
 
-def e2_witness_search(rq: RegionQuery, samples: int = 10_000, tol: float = 1e-9) -> E2Witness | None:
+def e2_witness_search(rq: RegionQuery) -> E2Witness | None:
     """Search the one-parameter family for auxiliary exponents closing the region system.
 
     After eliminating ``p_tilde``, ``theta`` and ``q2`` in terms of ``q3``, two
     residual equations remain; the scan walks ``q3`` through [0, 3), bisects
     each sign change, and returns the first parameter value satisfying both
-    residuals within ``tol`` (or None).  Absence of a witness is a valid
+    residuals within ``_WITNESS_TOL`` (or None).  Absence of a witness is a valid
     outcome, not an error.
     """
     from scipy.optimize import brentq  # imported on use, like quad in _split_beta
@@ -259,28 +257,24 @@ def e2_witness_search(rq: RegionQuery, samples: int = 10_000, tol: float = 1e-9)
     if not 0 <= rq.q1 - rq.q0_tilde < 1:
         raise ValueError(f"need 0 <= q1 - q0_tilde < 1, got {rq.q1 - rq.q0_tilde}")
 
-    def resid_pair(q3: float) -> tuple[float, float]:
+    def resid_pair(q3):  # a float or an array of them
         return _e2_signed(rq, _derive_from_q3(rq, q3))[3:]
 
     # Roots may sit on the boundary of the admissible ranges, so sign changes
     # are located over the whole computable interval and only the roots
     # themselves are range-validated.
-    grid = np.linspace(0.0, 3.0, samples, endpoint=False)
-    pairs = np.array([resid_pair(g) for g in grid])
-    candidates: list[float] = [
-        float(g) for g, (r1, r2) in zip(grid, pairs) if abs(r1) <= tol and abs(r2) <= tol
-    ]
+    grid = np.linspace(0.0, 3.0, 10_000, endpoint=False)
+    pairs = np.stack(resid_pair(grid), axis=1)
+    candidates = [float(g) for g in grid[np.all(np.abs(pairs) <= _WITNESS_TOL, axis=1)]]
     for which in (0, 1):
         resid = lambda x: resid_pair(x)[which]  # noqa: E731
         vals = pairs[:, which]
-        for i in range(samples - 1):
-            if vals[i] == 0.0:
-                candidates.append(float(grid[i]))
-            elif vals[i] * vals[i + 1] < 0:
-                candidates.append(float(brentq(resid, grid[i], grid[i + 1], xtol=1e-14)))
+        candidates += [float(g) for g in grid[:-1][vals[:-1] == 0.0]]
+        for i in np.flatnonzero(vals[:-1] * vals[1:] < 0):
+            candidates.append(float(brentq(resid, grid[i], grid[i + 1], xtol=1e-14)))
     for q3 in sorted(set(candidates)):
         w = _derive_from_q3(rq, q3)
-        if _witness_valid(rq, w, tol):
+        if _witness_valid(rq, w):
             return w
     return None
 

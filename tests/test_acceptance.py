@@ -279,7 +279,7 @@ def test_criterion_08_coupled_run(grid, coupled_data):
             report_seminorms=False,
         )
         assert report.converged
-        trace.validate(div_tol=1e-8)
+        trace.validate()
         seq = weighted_seq(trace)
         results[horizon] = (max(seq), int(np.argmax(seq)), len(seq) - 1)
     max4, arg4, last4 = results[4.0]

@@ -18,7 +18,7 @@ from mhdlab.cli import main
 from mhdlab.field_io import read_field, write_field
 from mhdlab.fields import ScalarField, make_grid
 from mhdlab.kernels import gaussian_bump
-from mhdlab.morrey import MorreyParams
+from mhdlab.morrey import MorreyParams, morrey_norm
 
 from .oracles import fine_radii, morrey_direct
 
@@ -127,6 +127,31 @@ class TestSimulate:
         assert len((out / "series.csv").read_text().splitlines()) == 1 + nodes
         assert np.isfinite(read_field(out / f"omega_{nodes - 1:04d}.mhf").values).all()
 
+    @pytest.mark.parametrize("amplitude, sweeps", [(1e-3, None), (1e150, 1)])
+    def test_series_norms_are_those_of_the_snapshots(self, tmp_path, amplitude, sweeps):
+        # the series reuses the last sweep's per-node norms; a first sweep
+        # that diverges leaves the heat flow, whose norms are estimated anew
+        path, cfg = _config(
+            tmp_path,
+            grid={"n": 16, "l": 2 * math.pi},
+            mesh={"horizon": 1.0, "num_nodes": 5, "spacing": "uniform"},
+            data={
+                "omega": {"family": "random_divfree", "seed": 3, "cutoff": 4, "amplitude": amplitude},
+                "j": {"family": "random_divfree", "seed": 4, "cutoff": 4, "amplitude": amplitude},
+            },
+        )
+        assert main(["simulate", "--config", str(path)]) == (0 if sweeps is None else 2)
+        out = tmp_path / "out"
+        manifest = json.loads((out / "manifest.json").read_text())
+        if sweeps is not None:
+            assert manifest["sweep_count"] == sweeps and manifest["sweeps"][-1]["delta"] == math.inf
+        mp = MorreyParams(cfg["exponents"]["p"], cfg["exponents"]["q"])
+        rows = (out / "series.csv").read_text().splitlines()[1:]
+        for m, row in enumerate(rows):
+            mw, mj = (float(v) for v in row.split(",")[3:5])
+            assert mw == morrey_norm(read_field(out / f"omega_{m:04d}.mhf"), mp)
+            assert mj == morrey_norm(read_field(out / f"current_{m:04d}.mhf"), mp)
+
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_overflowing_oracle_is_an_error(self, tmp_path, capsys):
         # the sweeps diverge, then the Heun oracle's nodes overflow: an error
@@ -158,6 +183,25 @@ class TestSimulate:
         assert "did not contract" in err
         manifest = json.loads((tmp_path / "out" / "manifest.json").read_text())
         assert manifest["converged"] is False
+
+    @pytest.mark.parametrize("max_sweeps", [0, -1])
+    def test_rejects_sweep_budget_below_one(self, tmp_path, capsys, max_sweeps):
+        path, _ = _config(tmp_path, tolerances={"picard_tol": 1e-8, "max_sweeps": max_sweeps})
+        assert main(["simulate", "--config", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert "error: max_sweeps must be at least 1" in err and "Traceback" not in err
+        assert not (tmp_path / "out" / "manifest.json").exists()
+
+    def test_rejects_zero_oracle_step(self, tmp_path, capsys):
+        path, _ = _config(
+            tmp_path,
+            grid={"n": 16, "l": 2 * math.pi},
+            mesh={"horizon": 0.1, "num_nodes": 3, "spacing": "uniform"},
+            oracle={"enabled": True, "dt": 0},
+        )
+        assert main(["simulate", "--config", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert "error: dt must be positive" in err and "Traceback" not in err
 
     def test_rejects_inadmissible_exponents(self, tmp_path, capsys):
         path, _ = _config(tmp_path, exponents={"p": 1.0, "q": 1.0, "p0": 1.0, "q0": 1.0})

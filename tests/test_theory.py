@@ -10,6 +10,8 @@ from mhdlab.theory import (
     ConstantsLedger,
     E2Witness,
     RegionQuery,
+    _derive_from_q3,
+    _e2_signed,
     beta_C,
     beta_time_integral,
     cor1_recursion,
@@ -163,6 +165,14 @@ class TestWitnessSearch:
             assert w.p_tilde == pytest.approx(pp * (3 - q) / (3 - q + pp), abs=1e-9)
             assert e2_witness_in_range(rq, w)
             assert max(e2_residuals(rq, w).values()) <= 1e-9
+
+    def test_scan_on_an_array_equals_the_scalar_loop(self):
+        # the search evaluates the residual pair on its whole scan grid at once
+        grid = np.linspace(0.0, 3.0, 10_000, endpoint=False)
+        for p, q in _WITNESS_PAIRS:
+            rq = RegionQuery(p=p, q=q, p0=1.0, q0=1.0, q0_tilde=1.0, q1=q)
+            loop = np.array([_e2_signed(rq, _derive_from_q3(rq, g))[3:] for g in grid])
+            assert np.array_equal(np.stack(_e2_signed(rq, _derive_from_q3(rq, grid))[3:], axis=1), loop)
 
     def test_canonical_theta(self):
         rq = RegionQuery(p=1.5, q=1.0, p0=1.0, q0=1.0, q0_tilde=1.0, q1=1.0)
