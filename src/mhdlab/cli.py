@@ -31,11 +31,11 @@ from pathlib import Path
 
 from .field_io import read_field, write_field
 from .fields import lp_norm, make_grid
-from .initial_data import generate_initial_data, initial_size_report
+from .initial_data import box_study, generate_initial_data, initial_size_report
 from .mild import (
     DivergenceError,
     TimeMesh,
-    max_retained_k2,
+    oracle_step,
     reference_timestepper,
     run_picard,
     trace_distance,
@@ -131,6 +131,9 @@ def _cmd_simulate(args) -> int:
     for name, value in cfg.get("constants", {}).items():
         ledger.set(name, float(value), "user")
 
+    oracle_cfg = cfg.get("oracle", {})
+    dt = oracle_step(grid, oracle_cfg.get("dt")) if oracle_cfg.get("enabled") else None
+
     out_dir = Path(cfg.get("output_dir", "out"))
     out_dir.mkdir(parents=True, exist_ok=True)
 
@@ -138,18 +141,12 @@ def _cmd_simulate(args) -> int:
     sizes = initial_size_report(w0, j0, sampling, p0=p0, q0=q0)
     box_report = None
     if cfg.get("box_study"):
-        from .initial_data import box_study
-
-        box_report = box_study(data_spec, grid, cfg["box_study"].get("factors", [1.5, 2.0]), sampling)
+        box_report = box_study(data_spec, grid, cfg["box_study"].get("factors", [2]), sampling)
 
     trace, report = run_picard(w0, j0, mesh, tol=tol, max_sweeps=max_sweeps, p=p, q=q, sampling=sampling)
 
-    oracle_cfg = cfg.get("oracle", {})
-    oracle_distance = None
-    if oracle_cfg.get("enabled"):
-        dt = oracle_cfg.get("dt")
-        oracle = reference_timestepper(w0, j0, mesh, dt=1.0 / max_retained_k2(grid) if dt is None else float(dt))
-        oracle_distance = trace_distance(oracle, trace)
+    oracle = None if dt is None else reference_timestepper(w0, j0, mesh, dt=dt)
+    oracle_distance = None if oracle is None else trace_distance(oracle, trace)
 
     # the last seminorms belong to the returned trace; none if the first sweep diverged
     sem = next((s.seminorms for s in reversed(report.sweeps) if s.seminorms), None)

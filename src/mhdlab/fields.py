@@ -274,11 +274,21 @@ def gradient(f: ScalarField) -> VectorField:
     return VectorField(f.grid, _inv(1j * kd * fh[None]))
 
 
+def _k_dot(vh: np.ndarray, grid: Grid) -> np.ndarray:
+    """``kd . vh`` for a vector half spectrum: its divergence spectrum without the factor ``i``."""
+    kd = _tables(grid)["kd"]
+    return kd[0] * vh[0] + kd[1] * vh[1] + kd[2] * vh[2]
+
+
+def _leray_hat(vh: np.ndarray, grid: Grid) -> np.ndarray:
+    """Leray projection of a vector half spectrum; the mean mode is untouched."""
+    t = _tables(grid)
+    return vh - t["kd"] * (_k_dot(vh, grid) * t["inv_k2d"])[None]
+
+
 def divergence(v: VectorField) -> ScalarField:
     """Spectral divergence ``i k . v_hat``."""
-    kd = _tables(v.grid)["kd"]
-    vh = _fwd(v.values)
-    return ScalarField(v.grid, _inv(1j * (kd[0] * vh[0] + kd[1] * vh[1] + kd[2] * vh[2])))
+    return ScalarField(v.grid, _inv(1j * _k_dot(_fwd(v.values), v.grid)))
 
 
 def _curl_hat(vh: np.ndarray, kd: np.ndarray) -> np.ndarray:
@@ -299,11 +309,7 @@ def curl(v: VectorField) -> VectorField:
 
 def project_div_free(v: VectorField) -> VectorField:
     """Leray projection onto divergence-free fields; mean mode untouched."""
-    t = _tables(v.grid)
-    kd = t["kd"]
-    vh = _fwd(v.values)
-    kdotv = kd[0] * vh[0] + kd[1] * vh[1] + kd[2] * vh[2]
-    return VectorField(v.grid, _inv(vh - kd * (kdotv * t["inv_k2d"])[None]))
+    return VectorField(v.grid, _inv(_leray_hat(_fwd(v.values), v.grid)))
 
 
 def dealias(s: SpectralField) -> SpectralField:
@@ -339,10 +345,6 @@ def lp_norm(f: Field, p: float) -> float:
 
 def mean_value(f: ScalarField) -> float:
     return float(f.values.mean())
-
-
-def max_norm(f: Field) -> float:
-    return float(_magnitude_values(f).max())
 
 
 def zero_vector(grid: Grid) -> VectorField:

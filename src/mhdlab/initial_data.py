@@ -1,8 +1,9 @@
 """Initial-data families: single Fourier modes, smooth vortex rings, seeded random fields.
 
-Every generated field is solenoidal, mean-free, and band-limited (2/3 rule)
-after post-processing, so fixed-point iterates built from it stay exactly
-representable on the grid.
+Every family ends in one spectral finish, :func:`_finalize` (2/3 dealias, Leray
+projection, zero mean, one inverse transform, scaling to the peak), so every field
+is solenoidal, mean-free and band-limited and fixed-point iterates built from it
+stay exactly representable.  :func:`_noise_hat` is the one seeded noise source.
 """
 
 from __future__ import annotations
@@ -14,10 +15,11 @@ import numpy as np
 from .fields import (
     Grid,
     VectorField,
-    dealias_field,
-    divergence,
-    max_norm,
-    project_div_free,
+    _dealias_hat,
+    _fwd,
+    _inv,
+    _k_dot,
+    _leray_hat,
     zero_vector,
 )
 from .morrey import BallSampling, MorreyParams, morrey_norm
@@ -25,22 +27,34 @@ from .morrey import BallSampling, MorreyParams, morrey_norm
 _FAMILIES = ("single_mode", "gaussian_vortex_ring", "random_divfree", "zero")
 
 
-def _finalize(raw: VectorField, amplitude: float) -> VectorField:
-    """Project, de-mean, dealias, and scale to the requested max magnitude."""
-    grid = raw.grid
-    v = project_div_free(dealias_field(raw)).values
-    v = v - v.mean(axis=(1, 2, 3), keepdims=True)
+def _finalize(vh: np.ndarray, grid: Grid, amplitude: float) -> VectorField:
+    """The field of half spectrum ``vh``: dealiased, projected, de-meaned, scaled to peak ``amplitude``."""
+    vh = _leray_hat(_dealias_hat(vh, grid), grid)
+    vh[:, 0, 0, 0] = 0.0
+    v = _inv(vh)
     peak = float(np.sqrt(np.sum(v**2, axis=0)).max())
     if peak == 0.0:
         return zero_vector(grid)
-    out = VectorField(grid, v * (amplitude / peak))
-    dmax = max_norm(divergence(out))
-    if dmax > 1e-10 * max(max_norm(out), np.finfo(float).tiny):
-        raise ValueError(f"generated field failed the solenoidality check: {dmax:.3e}")
-    return out
+    dmax = float(np.abs(_inv(1j * _k_dot(vh, grid))).max())
+    if dmax > 1e-10 * peak:
+        raise ValueError(f"generated field failed the solenoidality check: {dmax / peak:.3e}")
+    return VectorField(grid, v * (amplitude / peak))
 
 
-def _single_mode(spec: dict, grid: Grid) -> VectorField:
+def _noise_hat(grid: Grid, seed: int, cutoff: float, slope: float, window: np.ndarray | None = None):
+    """Half spectrum of seeded noise times ``window``, filtered by ``|k|**slope`` on integer 0 < |k| <= cutoff."""
+    n = grid.n
+    noise = np.random.default_rng(seed).standard_normal((3, n, n, n))
+    if window is not None:
+        noise *= window
+    kint = np.fft.fftfreq(n, d=1.0 / n)
+    kmag = np.sqrt(kint[:, None, None] ** 2 + kint[None, :, None] ** 2 + kint[None, None, : n // 2 + 1] ** 2)
+    envelope = np.zeros_like(kmag)
+    np.power(kmag, slope, out=envelope, where=(kmag > 0) & (kmag <= cutoff))
+    return envelope * _fwd(noise)
+
+
+def _single_mode(spec: dict, grid: Grid) -> np.ndarray:
     k = tuple(int(v) for v in spec.get("wavevector", (1, 0, 0)))
     comp = int(spec.get("component", 3)) - 1
     if comp not in (0, 1, 2):
@@ -53,10 +67,10 @@ def _single_mode(spec: dict, grid: Grid) -> VectorField:
     phase = 2.0 * math.pi / grid.l * (k[0] * x1 + k[1] * x2 + k[2] * x3)
     vals = np.zeros((3,) + (grid.n,) * 3)
     vals[comp] = np.cos(phase)
-    return VectorField(grid, vals)
+    return _fwd(vals)
 
 
-def _gaussian_vortex_ring(spec: dict, grid: Grid) -> VectorField:
+def _gaussian_vortex_ring(spec: dict, grid: Grid) -> np.ndarray:
     radius = float(spec.get("radius", grid.l / 10))
     core = float(spec.get("core_width", grid.l / 16))
     if core < 4 * grid.spacing:
@@ -87,26 +101,12 @@ def _gaussian_vortex_ring(spec: dict, grid: Grid) -> VectorField:
     )
     if faces.max() > 1e-8 * np.abs(vals).max():
         raise ValueError("ring magnitude on the box boundary exceeds the decay requirement")
-    return VectorField(grid, vals)
+    return _fwd(vals)
 
 
-def _random_divfree(spec: dict, grid: Grid) -> VectorField:
-    seed = int(spec.get("seed", 0))
-    slope = float(spec.get("slope", -2.0))
-    cutoff = float(spec.get("cutoff", grid.n / 4))
-    rng = np.random.default_rng(seed)
-    kint = np.fft.fftfreq(grid.n, d=1.0 / grid.n)
-    kmag = np.sqrt(
-        kint[:, None, None] ** 2 + kint[None, :, None] ** 2 + kint[None, None, :] ** 2
-    )
-    envelope = np.zeros_like(kmag)
-    retained = (kmag > 0) & (kmag <= cutoff)
-    envelope[retained] = kmag[retained] ** slope
-    vals = np.empty((3,) + (grid.n,) * 3)
-    for i in range(3):
-        white = rng.standard_normal((grid.n,) * 3)
-        vals[i] = np.fft.ifftn(envelope * np.fft.fftn(white)).real
-    return VectorField(grid, vals)
+def _random_divfree(spec: dict, grid: Grid) -> np.ndarray:
+    cutoff, slope = float(spec.get("cutoff", grid.n / 4)), float(spec.get("slope", -2.0))
+    return _noise_hat(grid, int(spec.get("seed", 0)), cutoff, slope)
 
 
 def _one_field(spec: dict, grid: Grid) -> VectorField:
@@ -118,12 +118,12 @@ def _one_field(spec: dict, grid: Grid) -> VectorField:
     amplitude = float(spec.get("amplitude", 1.0))
     if amplitude <= 0:
         raise ValueError("amplitude must be positive")
-    raw = {
+    vh = {
         "single_mode": _single_mode,
         "gaussian_vortex_ring": _gaussian_vortex_ring,
         "random_divfree": _random_divfree,
     }[family](spec, grid)
-    return _finalize(raw, amplitude)
+    return _finalize(vh, grid, amplitude)
 
 
 def generate_initial_data(spec: dict, grid: Grid) -> tuple[VectorField, VectorField]:
@@ -177,11 +177,10 @@ def box_study(spec: dict, grid: Grid, factors=(2,), sampling: BallSampling = Bal
     ]
     if any(f not in ("gaussian_vortex_ring", "zero") for f in families):
         raise ValueError("box study needs localized data (gaussian_vortex_ring)")
+    if not all(float(f).is_integer() and int(f) >= 1 and not int(f) & (int(f) - 1) for f in factors):
+        raise ValueError(f"box factors must be whole powers of two (grid sizes stay so), got {factors}")
     out = []
-    for factor in [1, *factors]:
-        factor = int(factor)
-        if factor < 1 or (factor & (factor - 1)) != 0:
-            raise ValueError("box factors must be powers of two (grid sizes stay powers of two)")
+    for factor in (1, *(int(f) for f in factors)):
         big = Grid(grid.n * factor, grid.l * factor)
         w0, j0 = generate_initial_data(spec, big)
         entry = {"factor": float(factor), "l": big.l, "n": big.n}

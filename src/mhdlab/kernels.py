@@ -17,6 +17,7 @@ from .fields import (
     _curl_hat,
     _fwd,
     _inv,
+    _k_dot,
     _tables,
     mean_value,
 )
@@ -58,9 +59,10 @@ def heat_time_derivative(f: ScalarField, t: float) -> ScalarField:
 
 def _require_solenoidal(values: np.ndarray, vh: np.ndarray, grid, what: str) -> None:
     """Reject a vector field (``values``, spectrum ``vh``) unless solenoidal and mean-free."""
-    kd = _tables(grid)["kd"]
-    scale = max(float(np.sqrt(np.sum(values**2, axis=0)).max()), np.finfo(float).tiny)
-    dmax = float(np.abs(_inv(1j * (kd[0] * vh[0] + kd[1] * vh[1] + kd[2] * vh[2]))).max())
+    # divide by the largest component before squaring, so large fields do not overflow
+    top = max(float(np.abs(values).max()), np.finfo(float).tiny)
+    scale = top * float(np.sqrt(np.sum((values / top) ** 2, axis=0)).max())
+    dmax = float(np.abs(_inv(1j * _k_dot(vh, grid))).max())
     if dmax > SOLENOIDAL_TOL * scale:
         raise ValueError(
             f"{what} is not divergence-free: max |div| = {dmax:.3e} "

@@ -443,6 +443,21 @@ def max_retained_k2(grid: Grid) -> float:
     return float(t["k2d"][t["keep"]].max())
 
 
+def oracle_step(grid: Grid, dt: float | None) -> float:
+    """The oracle step ``dt``, by default ``1/max|k|^2``; rejected unless ``0 < dt * max|k|^2 <= 1``."""
+    k2max = max_retained_k2(grid)
+    if dt is None:
+        return 1.0 / k2max
+    dt = float(dt)
+    if dt <= 0:
+        raise ValueError("dt must be positive")
+    if dt * k2max > 1.0 + 1e-12:
+        raise ValueError(
+            f"dt = {dt} does not resolve the fastest retained mode (need dt <= {1.0 / k2max:.3e})"
+        )
+    return dt
+
+
 def _spectral_l2(*hats: np.ndarray) -> float:
     """Square root of the summed mean squares of real fields, from their half spectra (Parseval).
 
@@ -473,13 +488,7 @@ def reference_timestepper(
     solenoidal and mean-free.
     """
     grid, wh, jh = _datum_spectra(w0, j0)
-    if dt <= 0:
-        raise ValueError("dt must be positive")
-    k2max = max_retained_k2(grid)
-    if dt * k2max > 1.0 + 1e-12:
-        raise ValueError(
-            f"dt = {dt} does not resolve the fastest retained mode (need dt <= {1.0 / k2max:.3e})"
-        )
+    dt = oracle_step(grid, dt)
     k2 = _tables(grid)["k2"]
 
     def nonlin(wh: np.ndarray, jh: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

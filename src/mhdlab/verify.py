@@ -19,12 +19,11 @@ from .fields import (
     ScalarField,
     VectorField,
     curl,
-    dealias_field,
     divergence,
     lp_norm,
-    project_div_free,
     zero_vector,
 )
+from .initial_data import _finalize, _noise_hat
 from .kernels import biot_savart, gaussian_bump
 from .mild import current_source, stretching_form, vorticity_flux
 from .morrey import (
@@ -76,18 +75,8 @@ def _default_grid():
 
 
 def _solenoidal_bump_field(grid, seed: int, cutoff: float = 6.0, slope: float = -1.5) -> VectorField:
-    """Band-limited solenoidal field with bump-localized support, deterministic per seed."""
-    rng = np.random.default_rng(seed)
-    n = grid.n
-    kint = np.fft.fftfreq(n, d=1.0 / n)
-    kmag = np.sqrt(kint[:, None, None] ** 2 + kint[None, :, None] ** 2 + kint[None, None, :] ** 2)
-    env = ((kmag > 0) & (kmag <= cutoff)).astype(float) * np.clip(kmag, 1.0, None) ** slope
-    window = gaussian_bump(grid, 0.5).values
-    vals = np.empty((3, n, n, n))
-    for i in range(3):
-        vals[i] = np.fft.ifftn(env * np.fft.fftn(rng.standard_normal((n,) * 3) * window)).real
-    raw = VectorField(grid, vals / np.abs(vals).max())
-    return project_div_free(dealias_field(raw))
+    """Band-limited solenoidal field with bump-localized support and unit peak, deterministic per seed."""
+    return _finalize(_noise_hat(grid, seed, cutoff, slope, gaussian_bump(grid, 0.5).values), grid, 1.0)
 
 
 def _mq(q: float) -> MorreyParams:

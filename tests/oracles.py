@@ -40,6 +40,32 @@ def tables_full(grid: Grid) -> dict:
     return {"kd": kd, "k2": kx**2 + ky**2 + kz**2, "inv_k2d": inv_k2d, "keep": keep}
 
 
+def solenoidal_noise_direct(grid: Grid, seed: int, cutoff: float, slope: float, amplitude: float,
+                            window: np.ndarray | None = None) -> np.ndarray:
+    """Seeded solenoidal noise built on the full complex spectrum, one component at a time.
+
+    Each component is drawn in turn from ``default_rng(seed)``, multiplied by
+    ``window``, filtered by ``|k|**slope`` on integer ``0 < |k| <= cutoff``,
+    then 2/3-dealiased, Leray-projected and de-meaned on the full ``(n, n, n)``
+    spectrum; the field is scaled to peak magnitude ``amplitude``.
+    """
+    n = grid.n
+    rng = np.random.default_rng(seed)
+    kint = np.fft.fftfreq(n, d=1.0 / n)
+    kmag = np.sqrt(kint[:, None, None] ** 2 + kint[None, :, None] ** 2 + kint[None, None, :] ** 2)
+    envelope = np.zeros_like(kmag)
+    retained = (kmag > 0) & (kmag <= cutoff)
+    envelope[retained] = kmag[retained] ** slope
+    w = 1.0 if window is None else window
+    tab = tables_full(grid)
+    vh = np.stack([envelope * fwd_full(rng.standard_normal((n,) * 3) * w) for _ in range(3)]) * tab["keep"]
+    kd = tab["kd"]
+    vh = vh - kd * (np.sum(kd * vh, axis=0) * tab["inv_k2d"])
+    vh[:, 0, 0, 0] = 0.0
+    v = inv_full(vh)
+    return v * (amplitude / np.sqrt(np.sum(v**2, axis=0)).max())
+
+
 def ball_count_direct(grid: Grid, r: float) -> int:
     """Cell-center count in the torus-metric ball, by explicit lattice arithmetic."""
     o = np.minimum(np.arange(grid.n), grid.n - np.arange(grid.n))

@@ -14,6 +14,7 @@ import numpy as np
 import pytest
 
 import mhdlab
+from mhdlab import cli
 from mhdlab.cli import main
 from mhdlab.field_io import read_field, write_field
 from mhdlab.fields import ScalarField, make_grid
@@ -192,16 +193,35 @@ class TestSimulate:
         assert "error: max_sweeps must be at least 1" in err and "Traceback" not in err
         assert not (tmp_path / "out" / "manifest.json").exists()
 
-    def test_rejects_zero_oracle_step(self, tmp_path, capsys):
-        path, _ = _config(
-            tmp_path,
-            grid={"n": 16, "l": 2 * math.pi},
-            mesh={"horizon": 0.1, "num_nodes": 3, "spacing": "uniform"},
-            oracle={"enabled": True, "dt": 0},
-        )
+    def test_rejects_zero_oracle_step(self, tmp_path, capsys, monkeypatch):
+        def forbidden(*args, **kwargs):
+            raise AssertionError("the solve ran before the oracle step was checked")
+
+        monkeypatch.setattr(cli, "run_picard", forbidden)
+        # at n = 16 the fastest retained mode has |k|^2 = 75, so dt = 1 is unresolved
+        for dt, message in ((0, "dt must be positive"), (1.0, "does not resolve the fastest retained mode")):
+            path, _ = _config(
+                tmp_path,
+                grid={"n": 16, "l": 2 * math.pi},
+                mesh={"horizon": 0.1, "num_nodes": 3, "spacing": "uniform"},
+                oracle={"enabled": True, "dt": dt},
+            )
+            assert main(["simulate", "--config", str(path)]) == 1
+            err = capsys.readouterr().err
+            assert err.startswith("error: ") and message in err and "Traceback" not in err
+
+    def test_box_study_default_factors(self, tmp_path, capsys, monkeypatch):
+        seen = []
+
+        def fake_box_study(spec, grid, factors, sampling):
+            seen.append(factors)
+            raise ValueError("stop after the box study")
+
+        monkeypatch.setattr(cli, "box_study", fake_box_study)
+        path, _ = _config(tmp_path, box_study={"enabled": True})
         assert main(["simulate", "--config", str(path)]) == 1
-        err = capsys.readouterr().err
-        assert "error: dt must be positive" in err and "Traceback" not in err
+        assert seen == [[2]]
+        assert "stop after the box study" in capsys.readouterr().err
 
     def test_rejects_inadmissible_exponents(self, tmp_path, capsys):
         path, _ = _config(tmp_path, exponents={"p": 1.0, "q": 1.0, "p0": 1.0, "q0": 1.0})

@@ -3,9 +3,13 @@
 import numpy as np
 import pytest
 
-from mhdlab.fields import divergence, lp_norm
-from mhdlab.initial_data import generate_initial_data, initial_size_report
+from mhdlab import initial_data
+from mhdlab.fields import divergence, lp_norm, make_grid
+from mhdlab.initial_data import box_study, generate_initial_data, initial_size_report
 from mhdlab.morrey import MorreyParams, morrey_norm
+
+from .conftest import rel_max_err
+from .oracles import solenoidal_noise_direct
 
 
 class TestSingleMode:
@@ -44,6 +48,19 @@ class TestRandomDivfree:
         b, _ = generate_initial_data({"family": "random_divfree", "seed": 2}, grid32)
         assert not np.array_equal(a.values, b.values)
 
+    @pytest.mark.parametrize("n", [16, 32])
+    @pytest.mark.parametrize(
+        "seed, cutoff, slope", [(0, None, -2.0), (7, 2.5, -1.5), (1001, 6.0, 0.0), (42, 3.0, -3.0)]
+    )
+    def test_matches_full_spectrum_reference(self, n, seed, cutoff, slope):
+        grid = make_grid(n, 2 * np.pi)
+        spec = {"family": "random_divfree", "seed": seed, "slope": slope, "amplitude": 0.05}
+        if cutoff is not None:
+            spec["cutoff"] = cutoff
+        w0, _ = generate_initial_data(spec, grid)
+        ref = solenoidal_noise_direct(grid, seed, n / 4 if cutoff is None else cutoff, slope, 0.05)
+        assert rel_max_err(w0.values, ref) <= 1e-14
+
     def test_solenoidal_and_mean_free(self, grid32):
         w0, _ = generate_initial_data({"family": "random_divfree", "seed": 4}, grid32)
         assert np.abs(divergence(w0).values).max() <= 1e-10 * np.abs(w0.values).max()
@@ -52,8 +69,6 @@ class TestRandomDivfree:
 
 @pytest.fixture(scope="module")
 def grid64():
-    from mhdlab.fields import make_grid
-
     return make_grid(64, 2 * np.pi)
 
 
@@ -89,6 +104,30 @@ class TestVortexRing:
         spec = {"family": "gaussian_vortex_ring", "radius": 2.8, "core_width": 0.9}
         with pytest.raises(ValueError, match="decay"):
             generate_initial_data(spec, grid32)
+
+
+@pytest.fixture
+def no_full_fft(monkeypatch):
+    def forbidden(*args, **kwargs):
+        raise AssertionError("full complex FFT called")
+
+    monkeypatch.setattr(np.fft, "fftn", forbidden)
+    monkeypatch.setattr(np.fft, "ifftn", forbidden)
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [
+        {"family": "single_mode", "wavevector": [1, 2, 0], "component": 3},
+        {"family": "gaussian_vortex_ring", "radius": 0.6, "core_width": 0.4},
+        {"family": "random_divfree", "seed": 5},
+        {"family": "zero"},
+    ],
+    ids=lambda spec: spec["family"],
+)
+def test_families_run_on_the_half_spectrum(no_full_fft, grid64, spec):
+    w0, _ = generate_initial_data(spec, grid64)
+    assert np.all(np.isfinite(w0.values))
 
 
 class TestSpecHandling:
@@ -128,9 +167,6 @@ class TestSpecHandling:
 
 class TestBoxStudy:
     def test_ring_norms_stabilize(self):
-        from mhdlab.fields import make_grid
-        from mhdlab.initial_data import box_study
-
         g = make_grid(64, 2 * np.pi)
         spec = {"family": "gaussian_vortex_ring", "radius": 0.6, "core_width": 0.4, "amplitude": 1e-3}
         rows = box_study(spec, g, factors=[2])
@@ -141,7 +177,15 @@ class TestBoxStudy:
         assert drift <= 0.2
 
     def test_rejects_box_locked_families(self, grid32):
-        from mhdlab.initial_data import box_study
-
         with pytest.raises(ValueError, match="localized"):
             box_study({"family": "single_mode"}, grid32, factors=[2.0])
+
+    @pytest.mark.parametrize("factors", [[1.5, 2.0], [2, 3], [0]])
+    def test_rejects_bad_factors_before_generating(self, grid32, monkeypatch, factors):
+        def forbidden(*args, **kwargs):
+            raise AssertionError("data generated before the factors were checked")
+
+        monkeypatch.setattr(initial_data, "generate_initial_data", forbidden)
+        spec = {"family": "gaussian_vortex_ring", "radius": 0.6, "core_width": 0.4}
+        with pytest.raises(ValueError, match="powers of two"):
+            box_study(spec, grid32, factors=factors)

@@ -1,6 +1,7 @@
 """Nonlinear terms, Duhamel quadrature, fixed-point sweeps, and the time stepper."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -614,6 +615,22 @@ class TestTraceValidation:
                 run_picard(w0, j0, mesh)
             with pytest.raises(ValueError, match="divergence-free"):
                 reference_timestepper(w0, j0, mesh, dt=1.0 / max_retained_k2(grid32))
+
+    def test_huge_non_solenoidal_datum_is_rejected(self, grid16):
+        # the check's scale must not overflow: 1e160**2 is inf, which would pass anything
+        x1 = grid16.meshgrid()[0]
+        bad = VectorField(grid16, np.stack([1e160 * np.sin(x1), 0 * x1, 0 * x1]))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="initial vorticity is not divergence-free"):
+                heat_flow_trace(bad, _zero(grid16), TimeMesh.uniform(1.0, 3))
+
+    def test_huge_generated_datum_raises_no_overflow_warning(self, grid16):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            w0, _ = generate_initial_data({"family": "random_divfree", "seed": 3, "amplitude": 1e160}, grid16)
+            trace = heat_flow_trace(w0, _zero(grid16), TimeMesh.uniform(1.0, 3))
+        assert rel_max_err(trace.omega[0].values, w0.values) <= 1e-14
 
     def test_node_count_mismatch(self, grid32):
         mesh = TimeMesh.uniform(1.0, 3)
