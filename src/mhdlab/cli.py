@@ -4,8 +4,11 @@ Subcommands:
 
 - ``simulate --config cfg.json [--seed N]``: run the fixed-point construction,
   write a manifest, CSV time series, and MHF1 snapshots.  Exit 0 on
-  convergence, 2 when the iteration does not contract or diverges, 1 on
-  error.  ``--seed N`` seeds the vorticity with N and the current with N + 1.
+  convergence; 2 when the sweep budget runs out, when the sweep deltas grow
+  (or stay level) in two consecutive sweeps, or when the iterates overflow,
+  with the manifest's ``stop`` and a line on standard error naming which; 1
+  on error.  ``--seed N`` seeds the vorticity with N and the current with
+  N + 1.
 - ``verify {props,identities,recursions,regions,all}``: run a property suite,
   print the JSON verdict; nonzero exit naming the failing checks.
 - ``region p q [p0 q0 [q0_tilde q1]] | --csv file``: membership booleans and
@@ -170,11 +173,14 @@ def _cmd_simulate(args) -> int:
         "constants": ledger.as_dict(),
         "initial_norms": sizes,
         "converged": report.converged,
+        "stop": report.stop,
         "sweep_count": report.sweep_count,
         "sweeps": [
             {
                 "index": s.index,
                 "delta": s.delta,
+                "ratio": s.ratio,
+                "error_bound": s.error_bound,
                 "seminorms": s.seminorms.as_dict() if s.seminorms else None,
             }
             for s in report.sweeps
@@ -187,13 +193,9 @@ def _cmd_simulate(args) -> int:
         json.dumps(manifest, indent=1, sort_keys=True) + "\n", encoding="utf-8"
     )
     if not report.converged:
-        if math.isinf(report.deltas[-1]):
-            reason = f"iterates diverged in sweep {report.sweep_count}"
-        else:
-            reason = f"did not contract within {max_sweeps} sweeps (last delta {report.deltas[-1]:.3e})"
-        print(f"{reason}; initial data too large or horizon too long", file=sys.stderr)
+        print(f"{report.reason}; outputs in {out_dir}", file=sys.stderr)
         return 2
-    print(f"converged in {report.sweep_count} sweeps; outputs in {out_dir}")
+    print(f"{report.reason}; outputs in {out_dir}")
     return 0
 
 

@@ -323,9 +323,16 @@ def dealias_field(f: Field) -> Field:
 
 
 def _magnitude_values(f: Field) -> np.ndarray:
+    """Pointwise Euclidean magnitude of a vector field (absolute value of a scalar one).
+
+    The components are scaled by a power of two that takes the largest below
+    1 before they are squared, and the magnitude is scaled back: the scaling
+    is exact, and the squares overflow only if the magnitude does.
+    """
     if isinstance(f, ScalarField):
         return np.abs(f.values)
-    return np.sqrt(np.sum(f.values**2, axis=0))
+    _, e = math.frexp(float(np.max(np.abs(f.values))))
+    return np.ldexp(np.sqrt(np.sum(np.ldexp(f.values, -e) ** 2, axis=0)), e)
 
 
 def lp_norm(f: Field, p: float) -> float:

@@ -159,18 +159,37 @@ class MhdTrace:
 
 @dataclass(frozen=True)
 class SweepRecord:
-    """One fixed-point sweep: successive-difference norm and weighted seminorms."""
+    """One fixed-point sweep: successive-difference norm, its ratio to the previous one, and weighted seminorms.
+
+    ``ratio`` is ``delta_k / delta_{k-1}``, ``None`` for the first sweep; it
+    is the contraction estimate that :func:`run_picard`'s stopping rule reads.
+    """
 
     index: int
     delta: float
+    ratio: float | None
     seminorms: WeightedSeminorms | None
+
+    @property
+    def error_bound(self) -> float | None:
+        """Banach a-posteriori bound ``delta * ratio / (1 - ratio)`` on the distance to the fixed point.
+
+        It holds if ``ratio`` bounds the contraction constant; ``None`` unless ``ratio < 1``.
+        """
+        if self.ratio is None or not self.ratio < 1.0:
+            return None
+        return self.delta * self.ratio / (1.0 - self.ratio)
 
 
 @dataclass(frozen=True)
 class IterationReport:
     sweeps: tuple[SweepRecord, ...]
-    converged: bool
+    stop: str  # why run_picard stopped: "converged", "budget", "not_contracting" or "overflow"
     tol: float
+
+    @property
+    def converged(self) -> bool:
+        return self.stop == "converged"
 
     @property
     def sweep_count(self) -> int:
@@ -179,6 +198,20 @@ class IterationReport:
     @property
     def deltas(self) -> tuple[float, ...]:
         return tuple(s.delta for s in self.sweeps)
+
+    @property
+    def reason(self) -> str:
+        """One line on why the iteration stopped."""
+        last = self.sweeps[-1]
+        if self.stop == "converged":
+            return f"converged in {last.index} sweeps"
+        if self.stop == "overflow":
+            return f"iterates overflowed in sweep {last.index}"
+        if self.stop == "not_contracting":
+            ratios = ", ".join(f"{s.ratio:.3g}" for s in self.sweeps[-2:])
+            return f"stopped contracting in sweep {last.index} (delta ratios {ratios})"
+        ratio = "" if last.ratio is None else f", ratio {last.ratio:.3g}"
+        return f"did not contract to {self.tol:.3g} within {last.index} sweeps (last delta {last.delta:.3e}{ratio})"
 
 
 def _flux_hat(u: np.ndarray, w: np.ndarray, b: np.ndarray, j: np.ndarray, grid: Grid) -> np.ndarray:
@@ -396,20 +429,26 @@ def run_picard(
 ) -> tuple[MhdTrace, IterationReport]:
     """Iterate :func:`picard_sweep` from the heat flow until the trajectory settles.
 
-    Convergence is declared when the successive-difference norm drops to
-    ``tol``; running out of sweeps returns the last trace with
-    ``converged=False`` (the smallness regime was left, or the horizon is too
-    long for a contraction).  A sweep whose iterate, distance or seminorms
-    are not finite ends the iteration with a ``delta = inf`` record and
-    returns the last finite trace.
+    The report's ``stop`` says why the iteration ended:
+
+    - ``"converged"``: the successive-difference norm ``delta`` dropped to ``tol``;
+    - ``"not_contracting"``: ``delta`` grew, or stayed level, in two
+      consecutive sweeps (ratios ``delta_k / delta_{k-1} >= 1``): the data left
+      the smallness regime, the horizon is too long for a contraction, or the
+      deltas reached their round-off floor above ``tol``;
+    - ``"budget"``: ``max_sweeps`` sweeps ran without either;
+    - ``"overflow"``: a sweep's iterate, distance or seminorms were not
+      finite; its record has ``delta = inf``.
+
+    The trace returned is the last finite iterate.
     """
     if tol <= 0:
         raise ValueError("tolerance must be positive")
     if max_sweeps < 1:
         raise ValueError(f"max_sweeps must be at least 1, got {max_sweeps}")
     trace = heat_flow_trace(w0, j0, mesh)
-    records = []
-    converged = False
+    records: list[SweepRecord] = []
+    stop = "budget"
     for k in range(1, max_sweeps + 1):
         try:
             # overflow is reported by the finiteness checks, not by warnings
@@ -421,15 +460,20 @@ def run_picard(
                 if sem is not None:
                     _require_finite(f"sweep {k} seminorms", list(sem.as_dict().values()))
         except DivergenceError:
-            # report divergence, keep the last finite trace
-            records.append(SweepRecord(index=k, delta=math.inf, seminorms=None))
+            new, delta, sem = None, math.inf, None
+        ratio = delta / records[-1].delta if records else None
+        records.append(SweepRecord(index=k, delta=delta, ratio=ratio, seminorms=sem))
+        if new is None:
+            stop = "overflow"  # keep the last finite trace
             break
-        records.append(SweepRecord(index=k, delta=delta, seminorms=sem))
         trace = new
         if delta <= tol:
-            converged = True
+            stop = "converged"
             break
-    return trace, IterationReport(tuple(records), converged, tol)
+        if k >= 3 and records[-2].ratio >= 1.0 and ratio >= 1.0:
+            stop = "not_contracting"
+            break
+    return trace, IterationReport(tuple(records), stop, tol)
 
 
 def mild_residual(trace: MhdTrace) -> float:
@@ -500,20 +544,21 @@ def reference_timestepper(
 
     out = np.empty((2, len(mesh.nodes)) + wh.shape, dtype=wh.dtype)
     out[0, 0], out[1, 0] = wh, jh
+    size = _spectral_l2(wh, jh)
     for a in range(len(mesh.nodes) - 1):
         ta, tb = mesh.nodes[a], mesh.nodes[a + 1]
         nsub = max(1, math.ceil((tb - ta) / dt - 1e-12))
         h = (tb - ta) / nsub
         decay = np.exp(-h * k2)
         for _ in range(nsub):
-            size0 = _spectral_l2(wh, jh)
             nw0, nj0 = nonlin(wh, jh)
             wh_star = decay * (wh + h * nw0)
             jh_star = decay * (jh + h * nj0)
             nw1, nj1 = nonlin(wh_star, jh_star)
             wh = decay * wh + 0.5 * h * (decay * nw0 + nw1)
             jh = decay * jh + 0.5 * h * (decay * nj0 + nj1)
-            if _spectral_l2(wh, jh) > 10.0 * max(size0, np.finfo(float).tiny):
+            size0, size = size, _spectral_l2(wh, jh)
+            if size > 10.0 * max(size0, np.finfo(float).tiny):
                 raise RuntimeError(
                     f"unstable step at t in [{ta}, {tb}]: norm grew more than 10x in one step"
                 )

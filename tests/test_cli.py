@@ -108,6 +108,7 @@ class TestSimulate:
         assert np.abs(w0 - j0).max() > 0.1 * np.abs(w0).max()
 
     def test_diverging_run_exits_2_with_manifest(self, tmp_path, capsys):
+        # the deltas grow in sweeps 2 and 3 (ratios 4.32, 14.4): the run stops there
         path, _ = _config(
             tmp_path,
             grid={"n": 16, "l": 2 * math.pi},
@@ -118,15 +119,42 @@ class TestSimulate:
             tolerances={"picard_tol": 1e-14, "max_sweeps": 20},
         )
         assert main(["simulate", "--config", str(path)]) == 2
-        assert "diverged" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "stopped contracting in sweep 3 (delta ratios 4.32, 14.4)" in err
+        assert "diverged" not in err
         out = tmp_path / "out"
         manifest = json.loads((out / "manifest.json").read_text())
-        assert manifest["converged"] is False
-        assert manifest["sweeps"][-1]["delta"] == math.inf
-        assert manifest["sweep_count"] < 20
+        assert manifest["converged"] is False and manifest["stop"] == "not_contracting"
+        assert manifest["sweep_count"] == 3
+        sweeps = manifest["sweeps"]
+        assert all(math.isfinite(s["delta"]) for s in sweeps)
+        assert sweeps[0]["ratio"] is None
+        assert [s["ratio"] for s in sweeps[1:]] == pytest.approx([4.32, 14.4], rel=2e-3)
+        assert all(s["error_bound"] is None for s in sweeps)
         nodes = len(manifest["config"]["mesh"]["nodes"])
         assert len((out / "series.csv").read_text().splitlines()) == 1 + nodes
         assert np.isfinite(read_field(out / f"omega_{nodes - 1:04d}.mhf").values).all()
+
+    def test_manifest_records_ratios_and_bounds(self, tmp_path, capsys):
+        path, _ = _config(
+            tmp_path,
+            grid={"n": 16, "l": 2 * math.pi},
+            data={
+                "omega": {"family": "random_divfree", "seed": 3, "cutoff": 4, "amplitude": 0.5},
+                "j": {"family": "random_divfree", "seed": 4, "cutoff": 4, "amplitude": 0.5},
+            },
+        )
+        assert main(["simulate", "--config", str(path)]) == 0
+        assert capsys.readouterr().out.startswith("converged in ")
+        manifest = json.loads((tmp_path / "out" / "manifest.json").read_text())
+        assert manifest["stop"] == "converged"
+        sweeps = manifest["sweeps"]
+        assert len(sweeps) >= 3 and sweeps[-1]["delta"] <= 1e-8
+        assert sweeps[0]["ratio"] is None and sweeps[0]["error_bound"] is None
+        for prev, cur in zip(sweeps, sweeps[1:]):
+            rho = cur["delta"] / prev["delta"]
+            assert cur["ratio"] == rho < 1.0
+            assert cur["error_bound"] == cur["delta"] * rho / (1.0 - rho)
 
     @pytest.mark.parametrize("amplitude, sweeps", [(1e-3, None), (1e150, 1)])
     def test_series_norms_are_those_of_the_snapshots(self, tmp_path, amplitude, sweeps):
@@ -146,6 +174,7 @@ class TestSimulate:
         manifest = json.loads((out / "manifest.json").read_text())
         if sweeps is not None:
             assert manifest["sweep_count"] == sweeps and manifest["sweeps"][-1]["delta"] == math.inf
+            assert manifest["stop"] == "overflow"
         mp = MorreyParams(cfg["exponents"]["p"], cfg["exponents"]["q"])
         rows = (out / "series.csv").read_text().splitlines()[1:]
         for m, row in enumerate(rows):
@@ -183,7 +212,7 @@ class TestSimulate:
         err = capsys.readouterr().err
         assert "did not contract" in err
         manifest = json.loads((tmp_path / "out" / "manifest.json").read_text())
-        assert manifest["converged"] is False
+        assert manifest["converged"] is False and manifest["stop"] == "budget"
 
     @pytest.mark.parametrize("max_sweeps", [0, -1])
     def test_rejects_sweep_budget_below_one(self, tmp_path, capsys, max_sweeps):

@@ -25,6 +25,7 @@ from mhdlab.fields import (
     to_spectral,
 )
 from mhdlab.field_io import read_field, write_field
+from mhdlab.morrey import MorreyParams, morrey_norm
 
 from .conftest import band_limited_scalar, band_limited_vector, rel_max_err, solenoidal_vector
 from .oracles import fwd_full, inv_full, tables_full
@@ -255,6 +256,20 @@ class TestLpNorm:
         f = band_limited_scalar(grid32, 0)
         with pytest.raises(ValueError):
             lp_norm(f, 0.5)
+
+    def test_huge_vector_field_norms_are_finite(self, grid16):
+        # unscaled, the squared components of a 1e160 field overflow to inf.
+        # At p = 1.5 the rounded root 1/p costs about log(sum) ulps of the
+        # result (measured 2e-14), so only the exponents with an exact root
+        # are held to 1e-15
+        unit = solenoidal_vector(grid16, 0)
+        huge = VectorField(grid16, 1e160 * unit.values)
+        for p, tol in ((1.0, 1e-15), (math.inf, 1e-15), (1.5, 1e-13)):
+            big = lp_norm(huge, p)
+            assert math.isfinite(big) and abs(big - 1e160 * lp_norm(unit, p)) <= tol * big
+        for p, lam, tol in ((1.0, 0.0, 1e-15), (1.0, 1.0, 1e-15), (1.5, 1.0, 1e-13)):
+            big = morrey_norm(huge, MorreyParams(p, lam))
+            assert math.isfinite(big) and abs(big - 1e160 * morrey_norm(unit, MorreyParams(p, lam))) <= tol * big
 
 
 class TestFieldFile:

@@ -365,20 +365,74 @@ class TestRunPicard:
             rel = lp_norm(VectorField(grid32, fa.values - fb.values), 2) / lp_norm(fa, 2)
             assert rel <= 2e-5
 
-    def test_divergence_keeps_last_finite_trace(self):
-        # amplitude 30 overflows after about ten sweeps
-        grid = make_grid(16, 2 * math.pi)
+    @staticmethod
+    def _amplitude_data(amplitude, seeds=(11, 12)):
         spec = {
-            "omega": {"family": "random_divfree", "seed": 11, "cutoff": 4, "amplitude": 30.0},
-            "j": {"family": "random_divfree", "seed": 12, "cutoff": 4, "amplitude": 30.0},
+            key: {"family": "random_divfree", "seed": seed, "cutoff": 4, "amplitude": amplitude}
+            for key, seed in zip(("omega", "j"), seeds)
         }
-        w0, j0 = generate_initial_data(spec, grid)
-        trace, report = run_picard(w0, j0, TimeMesh.uniform(1.0, 9), tol=1e-14, max_sweeps=20)
-        assert not report.converged
-        assert report.sweep_count < 20
-        assert report.deltas[-1] == math.inf and report.sweeps[-1].seminorms is None
-        assert all(math.isfinite(d) for d in report.deltas[:-1])
-        assert all(np.isfinite(w.values).all() for w in trace.omega)
+        return generate_initial_data(spec, make_grid(16, 2 * math.pi))
+
+    def test_divergence_keeps_last_finite_trace(self):
+        # at amplitude 30 the deltas grow from the first sweep on (ratios 4.3,
+        # 14.4, 155, ...; unchecked, the iterates overflow in sweep 10), so the
+        # run stops at the second growing sweep with sweep 3's trace
+        w0, j0 = self._amplitude_data(30.0)
+        mesh = TimeMesh.uniform(1.0, 9)
+        trace, report = run_picard(w0, j0, mesh, tol=1e-14, max_sweeps=20)
+        assert report.stop == "not_contracting" and not report.converged
+        assert report.sweep_count == 3
+        assert all(math.isfinite(d) for d in report.deltas)
+        ratios = [s.ratio for s in report.sweeps]
+        assert ratios[0] is None
+        assert ratios[1:] == pytest.approx([4.32, 14.4], rel=2e-3)
+        assert ratios[1:] == [b / a for a, b in zip(report.deltas, report.deltas[1:])]
+        assert all(s.error_bound is None for s in report.sweeps)
+        assert report.reason == "stopped contracting in sweep 3 (delta ratios 4.32, 14.4)"
+        expected = heat_flow_trace(w0, j0, mesh)
+        for _ in range(3):
+            expected = picard_sweep(expected)
+        assert np.array_equal(trace.spectra, expected.spectra)
+
+    def test_overflow_keeps_first_sweep_trace(self):
+        # at amplitude 1e50 the first sweep's delta is about 7e99 and the
+        # second sweep's distance overflows
+        w0, j0 = self._amplitude_data(1e50)
+        mesh = TimeMesh.uniform(1.0, 9)
+        trace, report = run_picard(w0, j0, mesh, tol=1e-14, max_sweeps=20)
+        assert report.stop == "overflow" and not report.converged
+        assert report.sweep_count == 2 and math.isfinite(report.deltas[0]) and report.deltas[1] == math.inf
+        last = report.sweeps[-1]
+        assert last.ratio == math.inf and last.error_bound is None and last.seminorms is None
+        assert report.reason == "iterates overflowed in sweep 2"
+        assert np.array_equal(trace.spectra, picard_sweep(heat_flow_trace(w0, j0, mesh)).spectra)
+
+    @pytest.mark.parametrize("seeds", [(1002, 1003), (1010, 1011)])
+    def test_slow_contraction_runs_the_whole_budget(self, seeds):
+        # amplitude 7 contracts with ratios 0.56-0.78: too slowly for 1e-14 in
+        # 20 sweeps, but never twice growing, so the budget ends the run
+        w0, j0 = self._amplitude_data(7.0, seeds)
+        _, report = run_picard(
+            w0, j0, TimeMesh.uniform(1.0, 9), tol=1e-14, max_sweeps=20, report_seminorms=False
+        )
+        assert report.stop == "budget" and report.sweep_count == 20
+        ratios = [s.ratio for s in report.sweeps[1:]]
+        assert all(0.5 < r < 0.8 for r in ratios)
+        for s in report.sweeps[1:]:
+            assert s.error_bound == s.delta * s.ratio / (1.0 - s.ratio)
+        assert report.reason.startswith("did not contract to 1e-14 within 20 sweeps")
+
+    def test_round_off_floor_stops_the_run(self):
+        # a tolerance below round-off: the deltas fall to about 1e-18, then
+        # wander, and the run stops once they grow twice in a row
+        w0, j0 = self._amplitude_data(0.05, (1, 2))
+        _, report = run_picard(
+            w0, j0, TimeMesh.uniform(1.0, 9), tol=1e-300, max_sweeps=50, report_seminorms=False
+        )
+        assert report.stop == "not_contracting" and report.sweep_count < 50
+        assert max(report.deltas[-3:]) < 1e-16
+        assert report.sweeps[-2].ratio >= 1.0 and report.sweeps[-1].ratio >= 1.0
+        assert all(a.ratio < 1.0 or b.ratio < 1.0 for a, b in zip(report.sweeps[1:-2], report.sweeps[2:-1]))
 
     def test_seminorm_overflow_is_divergence(self, grid16):
         # a shear flow: the nonlinear terms vanish, so the sweep and the
@@ -388,7 +442,7 @@ class TestRunPicard:
         w0 = VectorField(grid16, 6e152 * np.stack([zero, -5 * np.cos(5 * x1), zero]))
         j0 = VectorField(grid16, np.zeros((3, 16, 16, 16)))
         trace, report = run_picard(w0, j0, TimeMesh.uniform(0.5, 3), p=1.9, q=2.0)
-        assert not report.converged
+        assert report.stop == "overflow" and not report.converged
         assert report.deltas == (math.inf,) and report.sweeps[0].seminorms is None
         assert all(np.isfinite(w.values).all() for w in trace.omega)
 
@@ -422,7 +476,7 @@ class TestRunPicard:
         _, report = run_picard(
             w0, j0, TimeMesh.uniform(1.0, 9), tol=1e-12, max_sweeps=3, report_seminorms=False
         )
-        assert not report.converged
+        assert report.stop == "budget" and not report.converged
         assert report.sweep_count == 3
 
 
@@ -521,7 +575,7 @@ class TestThreadInvariance:
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     @pytest.mark.parametrize("amplitude", [30.0, 1e100])
     def test_diverging_run_bitwise_equal_for_1_2_and_3_threads(self, grid16, monkeypatch, amplitude):
-        # amplitude 30 overflows in the sweep after about ten sweeps; at 1e100
+        # amplitude 30 grows in every sweep and stops after the third; at 1e100
         # the first sweep's seminorms overflow on the pool threads, which must
         # run under run_picard's error state, or the overflow raises here as a
         # RuntimeWarning instead of ending the run with delta = inf
@@ -535,9 +589,11 @@ class TestThreadInvariance:
             monkeypatch.setenv("MHDLAB_THREADS", threads)
             runs.append(run_picard(w0, j0, TimeMesh.uniform(1.0, 9), tol=1e-14, max_sweeps=20))
         trace_a, report_a = runs[0]
-        assert report_a.deltas[-1] == math.inf and report_a.sweep_count < 20
+        stop, sweeps = {30.0: ("not_contracting", 3), 1e100: ("overflow", 1)}[amplitude]
+        assert report_a.stop == stop and report_a.sweep_count == sweeps
+        assert all(math.isfinite(d) for d in report_a.deltas) == (stop == "not_contracting")
         for trace_b, report_b in runs[1:]:
-            assert report_b.sweeps == report_a.sweeps
+            assert report_b == report_a
             assert np.array_equal(trace_b.spectra, trace_a.spectra)
 
 
