@@ -7,8 +7,11 @@ Subcommands:
   convergence; 2 when the sweep budget runs out, when the sweep deltas grow
   (or stay level) in two consecutive sweeps, or when the iterates overflow,
   with the manifest's ``stop`` and a line on standard error naming which; 1
-  on error.  ``--seed N`` seeds the vorticity with N and the current with
-  N + 1.
+  on error.  The config is read into one :class:`Experiment`, which checks
+  every key and value (unknown keys are errors) before any output directory
+  or data is made.  ``--seed N`` seeds a flat spec's family with N, and in a
+  coupled spec the vorticity with N and the current with N + 1; data with no
+  seeded family rejects it.
 - ``verify {props,identities,recursions,regions,all}``: run a property suite,
   print the JSON verdict; nonzero exit naming the failing checks.
 - ``region p q [p0 q0 [q0_tilde q1]] | --csv file``: membership booleans and
@@ -30,11 +33,20 @@ import json
 import math
 import sys
 import time
+from dataclasses import asdict, dataclass, is_dataclass
 from pathlib import Path
 
 from .field_io import read_field, write_field
-from .fields import lp_norm, make_grid
-from .initial_data import box_study, generate_initial_data, initial_size_report
+from .fields import Grid, lp_norm, make_grid
+from .initial_data import (
+    _checked_number,
+    box_study,
+    check_box_study,
+    check_data_spec,
+    generate_initial_data,
+    initial_size_report,
+    seed_data_spec,
+)
 from .mild import (
     DivergenceError,
     TimeMesh,
@@ -47,43 +59,134 @@ from .morrey import BallSampling, MorreyParams, WeightedSeminorms, morrey_norm_d
 from .theory import ConstantsLedger, RegionQuery, e2_witness_search, region_a1, region_a2, region_e1
 from .verify import run_suite
 
-_DEF_TOL = 1e-8
-_DEF_SWEEPS = 50
+#: every key of a simulate config: its kind (a JSON object for a block, a number (float), a whole
+#: number (int), bool, str or list) and its default; ``_OWN_DEFAULT`` leaves the default to the
+#: class that takes the value.  A null value stands for its default only where that default is null.
+_OWN_DEFAULT = object()
+_BLOCKS = {
+    "grid": {"n": (int, 32), "l": (float, 2 * math.pi)},
+    "mesh": {
+        "horizon": (float, 1.0),
+        "num_nodes": (int, 17),
+        "spacing": (str, "uniform"),
+        "quad_order": (int, _OWN_DEFAULT),
+        "ratio": (float, _OWN_DEFAULT),
+    },
+    "exponents": {"p": (float, 1.5), "q": (float, 1.0), "p0": (float, 1.0), "q0": (float, 1.0)},
+    "tolerances": {"picard_tol": (float, 1e-8), "max_sweeps": (int, 50)},
+    "sampling": {"stride": (int, _OWN_DEFAULT), "radii_per_octave": (int, _OWN_DEFAULT)},
+    "constants": {name: (float, _OWN_DEFAULT) for name in ConstantsLedger().values},
+    "oracle": {"enabled": (bool, False), "dt": (float, None)},
+    "box_study": {"factors": (list, [2])},
+}
+_CONFIG = {
+    **{name: (dict, None) for name in _BLOCKS},
+    "data": (dict, {"family": "single_mode"}),
+    "output_dir": (str, "out"),
+}
+_KIND_NAMES = {dict: "an object", bool: "true or false", str: "a string", list: "a list"}
 
 
-def _load_config(path: str) -> dict:
-    with open(path, "r", encoding="utf-8") as fh:
-        return json.load(fh)
-
-
-def _mesh_from_config(cfg: dict) -> TimeMesh:
-    horizon = float(cfg.get("horizon", 1.0))
-    num = int(cfg.get("num_nodes", 17))
-    spacing = cfg.get("spacing", "uniform")
-    quad = int(cfg.get("quad_order", 4))
-    if horizon <= 0:
-        raise ValueError("mesh horizon must be positive")
-    if spacing == "uniform":
-        return TimeMesh.uniform(horizon, num, quad)
-    if spacing == "graded":
-        return TimeMesh.graded(horizon, num, float(cfg.get("ratio", 1.5)), quad)
-    raise ValueError(f"unknown mesh spacing {spacing!r}")
-
-
-def _apply_seed(data_spec: dict, seed: int) -> dict:
-    """Flat specs take ``seed``; coupled specs give omega ``seed`` and j ``seed + 1``.
-
-    Distinct seeds keep coupled data from collapsing to omega = j, where both
-    nonlinear terms cancel identically.
-    """
-    out = dict(data_spec)
-    if "family" in out:
-        out["seed"] = seed
-        return out
-    for offset, key in enumerate(("omega", "j")):
-        if out.get(key):
-            out[key] = {**out[key], "seed": seed + offset}
+def _read_block(prefix: str, block, schema: dict) -> dict:
+    """The keys of ``block``, checked against ``schema``, with the defaults that ``schema`` holds."""
+    unknown = sorted(set(block) - set(schema))
+    if unknown:
+        raise ValueError(
+            f"unknown config key(s) {', '.join(repr(prefix + k) for k in unknown)}; "
+            f"expected {', '.join(prefix + k for k in schema)}"
+        )
+    out = {}
+    for key, (kind, default) in schema.items():
+        value, name = block.get(key), prefix + key
+        if key not in block or (value is None and default is None):
+            if default is not _OWN_DEFAULT:
+                out[key] = default
+        elif kind in (int, float):
+            out[key] = _checked_number(name, value, whole=kind is int)
+        elif isinstance(value, kind):
+            out[key] = value
+        else:
+            raise ValueError(f"{name} must be {_KIND_NAMES[kind]}, got {value!r}")
     return out
+
+
+@dataclass(frozen=True)
+class Experiment:
+    """One ``simulate`` run, read from its JSON config and checked in full before any work.
+
+    ``exponents`` holds p, q, p0, q0 and ``tolerances`` picard_tol and
+    max_sweeps; ``oracle_dt`` is None when the oracle is off, and
+    ``box_factors`` None when no box study runs.
+    """
+
+    grid: Grid
+    mesh: TimeMesh
+    data: dict
+    exponents: dict
+    tolerances: dict
+    sampling: BallSampling
+    ledger: ConstantsLedger
+    oracle_dt: float | None
+    box_factors: tuple[int, ...] | None
+    output_dir: Path
+
+    @classmethod
+    def from_config(cls, cfg, seed: int | None = None) -> "Experiment":
+        """Parse, default and check a config; ``seed`` reseeds the data as :func:`seed_data_spec` does."""
+        if not isinstance(cfg, dict):
+            raise ValueError(f"config must be a JSON object, got {type(cfg).__name__}")
+        top = _read_block("", cfg, _CONFIG)
+        block = {name: _read_block(f"{name}.", top[name] or {}, keys) for name, keys in _BLOCKS.items()}
+
+        grid = make_grid(**block["grid"])
+        mesh_cfg = block["mesh"]
+        spacing = mesh_cfg.pop("spacing")
+        if spacing not in ("uniform", "graded"):
+            raise ValueError(f"unknown mesh spacing {spacing!r}")
+        if spacing == "uniform" and "ratio" in mesh_cfg:
+            raise ValueError("mesh.ratio applies only to graded spacing")
+        if mesh_cfg["horizon"] <= 0:
+            raise ValueError("mesh horizon must be positive")
+        mesh = getattr(TimeMesh, spacing)(**mesh_cfg)
+
+        exps = block["exponents"]
+        if not region_e1(**exps):
+            values = ", ".join(str(v) for v in exps.values())
+            raise ValueError(f"exponents (p, q, p0, q0) = ({values}) fail the region check")
+        tols = block["tolerances"]
+        if tols["picard_tol"] <= 0:
+            raise ValueError(f"picard_tol must be positive, got {tols['picard_tol']}")
+        if tols["max_sweeps"] < 1:
+            raise ValueError(f"max_sweeps must be at least 1, got {tols['max_sweeps']}")
+        ledger = ConstantsLedger()
+        for name, value in block["constants"].items():
+            ledger.set(name, value, "user")
+        oracle = block["oracle"]
+
+        data = top["data"]
+        check_data_spec(data)
+        if seed is not None:
+            data = seed_data_spec(data, seed)
+        return cls(
+            grid=grid,
+            mesh=mesh,
+            data=data,
+            exponents=exps,
+            tolerances=tols,
+            sampling=BallSampling(**block["sampling"]),
+            ledger=ledger,
+            oracle_dt=oracle_step(grid, oracle["dt"]) if oracle["enabled"] else None,
+            box_factors=(
+                None if top["box_study"] is None else check_box_study(data, block["box_study"]["factors"])
+            ),
+            output_dir=Path(top["output_dir"]),
+        )
+
+    def manifest_config(self) -> dict:
+        """The manifest's ``config`` block: the grid, the mesh nodes, the data and the numerical settings."""
+        names = ("grid", "mesh", "data", "exponents", "tolerances", "sampling")
+        recorded = {name: getattr(self, name) for name in names}
+        return {name: asdict(value) if is_dataclass(value) else value for name, value in recorded.items()}
 
 
 def _float_cell(x: float) -> str:
@@ -105,72 +208,38 @@ def _series_csv(nodes, omega, current, sem: WeightedSeminorms, p: float, q: floa
 
 
 def _cmd_simulate(args) -> int:
-    cfg = _load_config(args.config)
-    grid_cfg = cfg.get("grid", {})
-    grid = make_grid(int(grid_cfg.get("n", 32)), float(grid_cfg.get("l", 2 * math.pi)))
-    mesh = _mesh_from_config(cfg.get("mesh", {}))
-    data_spec = cfg.get("data", {"family": "single_mode"})
-    if args.seed is not None:
-        data_spec = _apply_seed(data_spec, args.seed)
-
-    exps = cfg.get("exponents", {})
-    p = float(exps.get("p", 1.5))
-    q = float(exps.get("q", 1.0))
-    p0 = float(exps.get("p0", 1.0))
-    q0 = float(exps.get("q0", 1.0))
-    if not region_e1(p, q, p0, q0):
-        raise ValueError(f"exponents (p, q, p0, q0) = ({p}, {q}, {p0}, {q0}) fail the region check")
-
-    tols = cfg.get("tolerances", {})
-    tol = float(tols.get("picard_tol", _DEF_TOL))
-    max_sweeps = int(tols.get("max_sweeps", _DEF_SWEEPS))
-    samp_cfg = cfg.get("sampling", {})
-    sampling = BallSampling(
-        stride=int(samp_cfg.get("stride", 2)),
-        radii_per_octave=int(samp_cfg.get("radii_per_octave", 1)),
-    )
-
-    ledger = ConstantsLedger()
-    for name, value in cfg.get("constants", {}).items():
-        ledger.set(name, float(value), "user")
-
-    oracle_cfg = cfg.get("oracle", {})
-    dt = oracle_step(grid, oracle_cfg.get("dt")) if oracle_cfg.get("enabled") else None
-
-    out_dir = Path(cfg.get("output_dir", "out"))
+    exp = Experiment.from_config(json.loads(Path(args.config).read_text(encoding="utf-8")), args.seed)
+    p, q = exp.exponents["p"], exp.exponents["q"]
+    out_dir = exp.output_dir
     out_dir.mkdir(parents=True, exist_ok=True)
 
-    w0, j0 = generate_initial_data(data_spec, grid)
-    sizes = initial_size_report(w0, j0, sampling, p0=p0, q0=q0)
+    w0, j0 = generate_initial_data(exp.data, exp.grid)
+    sizes = initial_size_report(w0, j0, exp.sampling, p0=exp.exponents["p0"], q0=exp.exponents["q0"])
     box_report = None
-    if cfg.get("box_study"):
-        box_report = box_study(data_spec, grid, cfg["box_study"].get("factors", [2]), sampling)
+    if exp.box_factors is not None:
+        box_report = box_study(exp.data, exp.grid, exp.box_factors, exp.sampling)
 
-    trace, report = run_picard(w0, j0, mesh, tol=tol, max_sweeps=max_sweeps, p=p, q=q, sampling=sampling)
+    trace, report = run_picard(
+        w0, j0, exp.mesh, tol=exp.tolerances["picard_tol"], max_sweeps=exp.tolerances["max_sweeps"],
+        p=p, q=q, sampling=exp.sampling,
+    )
 
-    oracle = None if dt is None else reference_timestepper(w0, j0, mesh, dt=dt)
+    oracle = None if exp.oracle_dt is None else reference_timestepper(w0, j0, exp.mesh, dt=exp.oracle_dt)
     oracle_distance = None if oracle is None else trace_distance(oracle, trace)
 
     # the last seminorms belong to the returned trace; none if the first sweep diverged
     sem = next((s.seminorms for s in reversed(report.sweeps) if s.seminorms), None)
-    sem = sem or weighted_seminorms(trace, p, q, sampling)
+    sem = sem or weighted_seminorms(trace, p, q, exp.sampling)
     omega, current = trace.omega, trace.current
-    series = _series_csv(mesh.nodes, omega, current, sem, p, q)
+    series = _series_csv(exp.mesh.nodes, omega, current, sem, p, q)
     (out_dir / "series.csv").write_text(series, encoding="utf-8")
     for m, (w, j) in enumerate(zip(omega, current)):
         write_field(out_dir / f"omega_{m:04d}.mhf", w)
         write_field(out_dir / f"current_{m:04d}.mhf", j)
 
     manifest = {
-        "config": {
-            "grid": {"n": grid.n, "l": grid.l},
-            "mesh": {"nodes": list(mesh.nodes), "quad_order": mesh.quad_order},
-            "data": data_spec,
-            "exponents": {"p": p, "q": q, "p0": p0, "q0": q0},
-            "tolerances": {"picard_tol": tol, "max_sweeps": max_sweeps},
-            "sampling": {"stride": sampling.stride, "radii_per_octave": sampling.radii_per_octave},
-        },
-        "constants": ledger.as_dict(),
+        "config": exp.manifest_config(),
+        "constants": exp.ledger.as_dict(),
         "initial_norms": sizes,
         "converged": report.converged,
         "stop": report.stop,
@@ -295,8 +364,10 @@ def build_parser() -> argparse.ArgumentParser:
     nrm = sub.add_parser("norms", help="norm table of an MHF1 field file")
     nrm.add_argument("field", help="MHF1 field file")
     nrm.add_argument("--exponents", required=True, help="comma list p:lambda[,p:lambda...]")
-    nrm.add_argument("--stride", type=int, default=2)
-    nrm.add_argument("--radii-per-octave", type=int, default=1, dest="radii_per_octave")
+    nrm.add_argument("--stride", type=int, default=BallSampling.stride)
+    nrm.add_argument(
+        "--radii-per-octave", type=int, default=BallSampling.radii_per_octave, dest="radii_per_octave"
+    )
     return parser
 
 

@@ -317,9 +317,14 @@ def dealias(s: SpectralField) -> SpectralField:
     return SpectralField(s.grid, _dealias_hat(s.coefficients, s.grid))
 
 
+def _dealias_values(values: np.ndarray, grid: Grid) -> np.ndarray:
+    """Real values (last three axes on ``grid``) with every mode outside the 2/3-rule cube zeroed."""
+    return _inv(_dealias_hat(_fwd(values), grid))
+
+
 def dealias_field(f: Field) -> Field:
     """The field with every mode outside the 2/3-rule cube zeroed, as :func:`dealias` does to a spectrum."""
-    return type(f)(f.grid, _inv(_dealias_hat(_fwd(f.values), f.grid)))
+    return type(f)(f.grid, _dealias_values(f.values, f.grid))
 
 
 def _magnitude_values(f: Field) -> np.ndarray:

@@ -24,7 +24,17 @@ from .fields import (
 )
 from .morrey import BallSampling, MorreyParams, morrey_norm
 
-_FAMILIES = ("single_mode", "gaussian_vortex_ring", "random_divfree", "zero")
+
+def _checked_number(name: str, value, whole: bool = False) -> float | int:
+    """``value`` as a float (an int if ``whole``); rejected unless it is a finite (whole) JSON number."""
+    if (
+        isinstance(value, bool)
+        or not isinstance(value, (int, float))
+        or not math.isfinite(value)
+        or (whole and not float(value).is_integer())
+    ):
+        raise ValueError(f"{name} must be a {'whole ' if whole else ''}number, got {value!r}")
+    return int(value) if whole else float(value)
 
 
 def _finalize(vh: np.ndarray, grid: Grid, amplitude: float) -> VectorField:
@@ -109,21 +119,95 @@ def _random_divfree(spec: dict, grid: Grid) -> np.ndarray:
     return _noise_hat(grid, int(spec.get("seed", 0)), cutoff, slope)
 
 
-def _one_field(spec: dict, grid: Grid) -> VectorField:
+#: each family's half-spectrum builder (none for ``zero``) and the keys its spec may hold besides
+#: ``family``, with their kinds: a number (float), a whole number (int) or three whole numbers (list)
+_FAMILY_TABLE = {
+    "single_mode": (_single_mode, {"amplitude": float, "wavevector": list, "component": int}),
+    "gaussian_vortex_ring": (
+        _gaussian_vortex_ring,
+        {"amplitude": float, "radius": float, "core_width": float},
+    ),
+    "random_divfree": (_random_divfree, {"amplitude": float, "cutoff": float, "slope": float, "seed": int}),
+    "zero": (None, {}),
+}
+
+
+def _check_family_spec(spec, where: str) -> None:
+    """Reject a family spec (named ``where``) whose family, keys or value kinds are not in its table row."""
+    if not isinstance(spec, dict):
+        raise ValueError(f"{where} must be an object, got {spec!r}")
     family = spec.get("family")
-    if family not in _FAMILIES:
-        raise ValueError(f"unknown data family {family!r}; expected one of {_FAMILIES}")
-    if family == "zero":
+    if family not in _FAMILY_TABLE:
+        raise ValueError(f"unknown data family {family!r} in {where}; expected one of {tuple(_FAMILY_TABLE)}")
+    kinds = _FAMILY_TABLE[family][1]
+    unknown = sorted(set(spec) - {"family", *kinds})
+    if unknown:
+        raise ValueError(
+            f"unknown key(s) {', '.join(map(repr, unknown))} in {where}; "
+            f"a {family} spec holds family{''.join(', ' + k for k in kinds)}"
+        )
+    for key in (k for k in kinds if k in spec):
+        kind, value = kinds[key], spec[key]
+        if kind is list and not (isinstance(value, list) and len(value) == 3):
+            raise ValueError(f"{where}.{key} must be a list of three whole numbers, got {value!r}")
+        for v in value if kind is list else [value]:
+            _checked_number(f"{where}.{key}", v, whole=kind is not float)
+    if not spec.get("amplitude", 1.0) > 0:
+        raise ValueError(f"{where}.amplitude must be positive")
+
+
+def check_data_spec(spec) -> None:
+    """Reject a data spec before any field is generated: a bad shape, family, key or value kind.
+
+    A flat spec names a ``family``; a coupled spec holds only ``omega`` and an
+    optional ``j`` (absent, null or empty: a zero current).  Each family spec
+    holds only the keys of its row in the family table.
+    """
+    if isinstance(spec, dict) and "family" in spec:
+        _check_family_spec(spec, "data")
+        return
+    if not isinstance(spec, dict) or "omega" not in spec:
+        raise ValueError("data spec needs a 'family' key or an 'omega' sub-spec")
+    unknown = sorted(set(spec) - {"omega", "j"})
+    if unknown:
+        raise ValueError(
+            f"unknown key(s) {', '.join(map(repr, unknown))} in data; a coupled spec holds omega and j"
+        )
+    _check_family_spec(spec["omega"], "data.omega")
+    if spec.get("j"):
+        _check_family_spec(spec["j"], "data.j")
+
+
+def _seeded(spec) -> bool:
+    return bool(spec) and "seed" in _FAMILY_TABLE[spec["family"]][1]
+
+
+def seed_data_spec(spec: dict, seed: int) -> dict:
+    """A checked data spec with its seeded families reseeded.
+
+    A flat spec takes ``seed``; in a coupled spec omega takes ``seed`` and j
+    ``seed + 1``.  Distinct seeds keep coupled data from collapsing to
+    omega = j, where both nonlinear terms cancel identically.  A spec with no
+    seeded family is rejected, since nothing would read the seed.
+    """
+    if "family" in spec:
+        reseeded = {"seed": seed} if _seeded(spec) else {}
+    else:
+        reseeded = {
+            key: {**spec[key], "seed": seed + offset}
+            for offset, key in enumerate(("omega", "j"))
+            if _seeded(spec.get(key))
+        }
+    if not reseeded:
+        raise ValueError("a seed was given, but no family of this data spec takes one")
+    return {**spec, **reseeded}
+
+
+def _one_field(spec: dict, grid: Grid) -> VectorField:
+    build = _FAMILY_TABLE[spec["family"]][0]
+    if build is None:
         return zero_vector(grid)
-    amplitude = float(spec.get("amplitude", 1.0))
-    if amplitude <= 0:
-        raise ValueError("amplitude must be positive")
-    vh = {
-        "single_mode": _single_mode,
-        "gaussian_vortex_ring": _gaussian_vortex_ring,
-        "random_divfree": _random_divfree,
-    }[family](spec, grid)
-    return _finalize(vh, grid, amplitude)
+    return _finalize(build(spec, grid), grid, float(spec.get("amplitude", 1.0)))
 
 
 def generate_initial_data(spec: dict, grid: Grid) -> tuple[VectorField, VectorField]:
@@ -131,12 +215,11 @@ def generate_initial_data(spec: dict, grid: Grid) -> tuple[VectorField, VectorFi
 
     A flat spec ``{"family": ..., ...}`` generates the vorticity and leaves the
     current zero; ``{"omega": {...}, "j": {...}}`` generates both.  Fields are
-    deterministic per seed.
+    deterministic per seed.  The spec is checked first (:func:`check_data_spec`).
     """
+    check_data_spec(spec)
     if "family" in spec:
         return _one_field(spec, grid), zero_vector(grid)
-    if "omega" not in spec:
-        raise ValueError("data spec needs a 'family' key or an 'omega' sub-spec")
     w0 = _one_field(spec["omega"], grid)
     j_spec = spec.get("j")
     j0 = _one_field(j_spec, grid) if j_spec else zero_vector(grid)
@@ -162,6 +245,22 @@ def initial_size_report(
     return {"omega_m11": w11, "j_m11": j11, "omega_mp0q0": wp0, "j_mp0q0": jp0}
 
 
+def check_box_study(spec: dict, factors) -> tuple[int, ...]:
+    """The box factors as ints, once ``spec`` is localized data and every factor a whole power of two."""
+    families = [spec.get("family")] if "family" in spec else [
+        sub.get("family") for sub in (spec.get("omega"), spec.get("j")) if sub
+    ]
+    if any(f not in ("gaussian_vortex_ring", "zero") for f in families):
+        raise ValueError("box study needs localized data (gaussian_vortex_ring)")
+    if not isinstance(factors, (list, tuple)) or not all(
+        isinstance(f, (int, float)) and not isinstance(f, bool) and f >= 1 and float(f).is_integer()
+        and not int(f) & (int(f) - 1)
+        for f in factors
+    ):
+        raise ValueError(f"box factors must be whole powers of two (grid sizes stay so), got {factors!r}")
+    return tuple(int(f) for f in factors)
+
+
 def box_study(spec: dict, grid: Grid, factors=(2,), sampling: BallSampling = BallSampling()) -> list[dict]:
     """Convergence-in-box-size diagnostic for localized data.
 
@@ -172,15 +271,8 @@ def box_study(spec: dict, grid: Grid, factors=(2,), sampling: BallSampling = Bal
     with absolute length scales (the vortex ring); periodic families are tied
     to the box.
     """
-    families = [spec.get("family")] if "family" in spec else [
-        sub.get("family") for sub in (spec.get("omega"), spec.get("j")) if sub
-    ]
-    if any(f not in ("gaussian_vortex_ring", "zero") for f in families):
-        raise ValueError("box study needs localized data (gaussian_vortex_ring)")
-    if not all(float(f).is_integer() and int(f) >= 1 and not int(f) & (int(f) - 1) for f in factors):
-        raise ValueError(f"box factors must be whole powers of two (grid sizes stay so), got {factors}")
     out = []
-    for factor in (1, *(int(f) for f in factors)):
+    for factor in (1, *check_box_study(spec, factors)):
         big = Grid(grid.n * factor, grid.l * factor)
         w0, j0 = generate_initial_data(spec, big)
         entry = {"factor": float(factor), "l": big.l, "n": big.n}

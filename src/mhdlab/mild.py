@@ -52,6 +52,7 @@ from .fields import (
     VectorField,
     _curl_hat,
     _dealias_hat,
+    _dealias_values,
     _fwd,
     _inv,
     _same_grid,
@@ -293,7 +294,7 @@ def stretching_form(u: VectorField, w: VectorField, b: VectorField, j: VectorFie
     grid = _same_grid(u, w, b, j)
     out = _advective_difference(u.values, w.values, grid)
     out -= _advective_difference(b.values, j.values, grid)
-    return VectorField(grid, _inv(_dealias_hat(_fwd(out), grid)))
+    return VectorField(grid, _dealias_values(out, grid))
 
 
 def _step_multipliers(k2: np.ndarray, h: float, quad_order: int):

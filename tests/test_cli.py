@@ -24,6 +24,10 @@ from mhdlab.morrey import MorreyParams, morrey_norm
 from .oracles import fine_radii, morrey_direct
 
 
+#: a vortex ring that a 64-point grid on [0, 2 pi) resolves
+RING = {"family": "gaussian_vortex_ring", "radius": 0.6, "core_width": 0.4, "amplitude": 1e-3}
+
+
 def _config(tmp_path, **overrides):
     cfg = {
         "grid": {"n": 32, "l": 2 * math.pi},
@@ -240,6 +244,7 @@ class TestSimulate:
             assert err.startswith("error: ") and message in err and "Traceback" not in err
 
     def test_box_study_default_factors(self, tmp_path, capsys, monkeypatch):
+        # a box_study block without factors studies the box doubled
         seen = []
 
         def fake_box_study(spec, grid, factors, sampling):
@@ -247,10 +252,61 @@ class TestSimulate:
             raise ValueError("stop after the box study")
 
         monkeypatch.setattr(cli, "box_study", fake_box_study)
-        path, _ = _config(tmp_path, box_study={"enabled": True})
+        monkeypatch.setattr(cli, "initial_size_report", lambda *args, **kwargs: {})
+        path, _ = _config(tmp_path, grid={"n": 64, "l": 2 * math.pi}, data=RING, box_study={})
         assert main(["simulate", "--config", str(path)]) == 1
-        assert seen == [[2]]
+        assert seen == [(2,)]
         assert "stop after the box study" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "overrides, message",
+        [
+            ({"tolerances": {"max_sweep": 1}}, "'tolerances.max_sweep'"),
+            ({"data": {"family": "single_mode", "amplitud": 1e-3}}, "'amplitud' in data"),
+            ({"data": {"omega": {"family": "zero"}, "current": {"family": "zero"}}}, "'current' in data"),
+            ({"data": {"family": "random_divfree", "amplitude": None}}, "data.amplitude must be a number"),
+            ({"oracle": {"enabled": "false"}}, "oracle.enabled must be true or false"),
+            ({"tolerances": {"max_sweeps": 2.9}}, "tolerances.max_sweeps must be a whole number"),
+            ({"tolerances": {"picard_tol": 0}}, "picard_tol must be positive"),
+            ({"grid": 5}, "grid must be an object"),
+            ({"grid": {"n": 32.5}}, "grid.n must be a whole number"),
+            ({"constants": [1]}, "constants must be an object"),
+            ({"constants": {"heat_smothing": 2.0}}, "'constants.heat_smothing'"),
+            ({"exponents": {"p": None}}, "exponents.p must be a number"),
+            ({"mesh": {"num_nodes": "9"}}, "mesh.num_nodes must be a whole number"),
+            ({"mesh": {"quad_order": 2.5}}, "mesh.quad_order must be a whole number"),
+            ({"mesh": {"ratio": 2.0}}, "mesh.ratio applies only to graded spacing"),
+            ({"sampling": {"stride": 1.5}}, "sampling.stride must be a whole number"),
+            ({"sampling": {"radii_per_octave": True}}, "sampling.radii_per_octave must be a whole number"),
+            ({"data": RING, "box_study": {"factors": [3]}}, "powers of two"),
+            ({"data": RING, "box_study": {"factors": 2}}, "box_study.factors must be a list"),
+            ({"box_study": {}}, "box study needs localized data"),
+            ({"output": "elsewhere"}, "'output'"),
+        ],
+    )
+    def test_rejects_bad_config_before_any_work(self, tmp_path, capsys, monkeypatch, overrides, message):
+        def forbidden(*args, **kwargs):
+            raise AssertionError("work started before the config was checked")
+
+        for name in ("generate_initial_data", "initial_size_report", "run_picard"):
+            monkeypatch.setattr(cli, name, forbidden)
+        path, _ = _config(tmp_path, **overrides)
+        assert main(["simulate", "--config", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and message in err and "Traceback" not in err
+        assert not (tmp_path / "out").exists()
+
+    def test_rejects_config_that_is_not_an_object(self, tmp_path, capsys):
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps([{"grid": {"n": 32}}]))
+        assert main(["simulate", "--config", str(path)]) == 1
+        assert capsys.readouterr().err == "error: config must be a JSON object, got list\n"
+
+    def test_rejects_seed_for_unseeded_data(self, tmp_path, capsys):
+        path, _ = _config(tmp_path)
+        assert main(["simulate", "--config", str(path), "--seed", "4"]) == 1
+        assert "no family of this data spec takes one" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
     def test_rejects_inadmissible_exponents(self, tmp_path, capsys):
         path, _ = _config(tmp_path, exponents={"p": 1.0, "q": 1.0, "p0": 1.0, "q0": 1.0})
@@ -398,3 +454,23 @@ def test_benchmark_harness_runs_and_its_span_names_resolve(tmp_path):
             fn = getattr(importlib.import_module(f"mhdlab.{module}"), name, None)
             assert not name.startswith("_") and inspect.isfunction(fn), span
             assert fn.__module__ == f"mhdlab.{module}", span
+
+
+def test_benchmark_and_readme_configs_pass_the_config_checks(tmp_path, monkeypatch):
+    # the benchmark's simulate configs and the README example are checked as
+    # simulate checks them, without solving anything
+    root = Path(__file__).resolve().parents[1]
+    monkeypatch.syspath_prepend(str(root / "perfbench"))
+    workloads = importlib.import_module("workloads")
+    configs = []
+    for name, build in workloads.WORKLOADS.items():
+        for op in build(tmp_path / name, 1):
+            if op.args[0] == "simulate":
+                configs.append(json.loads((op.cwd / op.args[op.args.index("--config") + 1]).read_text()))
+    assert len(configs) == 4
+    readme = (root / "README.md").read_text(encoding="utf-8")
+    example = readme.split("### Experiment config", 1)[1].split("```json", 1)[1].split("```", 1)[0]
+    configs.append(json.loads(example))
+    for cfg in configs:
+        exp = cli.Experiment.from_config(cfg)
+        assert exp.manifest_config()["grid"] == {"n": cfg["grid"]["n"], "l": cfg["grid"]["l"]}

@@ -5,7 +5,13 @@ import pytest
 
 from mhdlab import initial_data
 from mhdlab.fields import divergence, lp_norm, make_grid
-from mhdlab.initial_data import box_study, generate_initial_data, initial_size_report
+from mhdlab.initial_data import (
+    box_study,
+    check_data_spec,
+    generate_initial_data,
+    initial_size_report,
+    seed_data_spec,
+)
 from mhdlab.morrey import MorreyParams, morrey_norm
 
 from .conftest import rel_max_err
@@ -142,6 +148,49 @@ class TestSpecHandling:
     def test_missing_keys(self, grid32):
         with pytest.raises(ValueError, match="omega"):
             generate_initial_data({"j": {"family": "zero"}}, grid32)
+
+    @pytest.mark.parametrize(
+        "spec, message",
+        [
+            ({"family": "single_mode", "amplitud": 1e-3}, "'amplitud' in data"),
+            ({"family": "zero", "amplitude": 1.0}, "'amplitude' in data"),
+            ({"family": "random_divfree", "wavevector": [1, 0, 0]}, "'wavevector' in data"),
+            ({"omega": {"family": "zero"}, "current": {"family": "zero"}}, "'current' in data"),
+            ({"omega": {"family": "random_divfree", "sead": 3}}, "'sead' in data.omega"),
+            ({"omega": {"family": "zero"}, "j": {"family": "zero", "seed": 1}}, "'seed' in data.j"),
+            ({"omega": [1]}, "data.omega must be an object"),
+        ],
+    )
+    def test_rejects_unknown_keys(self, grid32, spec, message):
+        with pytest.raises(ValueError, match=message):
+            generate_initial_data(spec, grid32)
+
+    @pytest.mark.parametrize(
+        "key, value",
+        [
+            ("amplitude", None),
+            ("amplitude", "1e-3"),
+            ("wavevector", [1, 0]),
+            ("wavevector", [1, 0.5, 0]),
+            ("component", 2.5),
+            ("component", True),
+        ],
+    )
+    def test_rejects_values_of_the_wrong_kind(self, key, value):
+        spec = {"family": "single_mode", "wavevector": [1, 0, 0], "component": 3, key: value}
+        with pytest.raises(ValueError, match=f"data.{key} must be"):
+            check_data_spec(spec)
+
+    def test_seed_goes_to_the_seeded_families(self):
+        random = {"family": "random_divfree", "seed": 0}
+        mode = {"family": "single_mode"}
+        assert seed_data_spec(random, 7) == {**random, "seed": 7}
+        coupled = seed_data_spec({"omega": random, "j": random}, 7)
+        assert (coupled["omega"]["seed"], coupled["j"]["seed"]) == (7, 8)
+        assert seed_data_spec({"omega": mode, "j": random}, 7) == {"omega": mode, "j": {**random, "seed": 8}}
+        for spec in (mode, {"omega": mode}, {"omega": mode, "j": {"family": "zero"}}):
+            with pytest.raises(ValueError, match="no family of this data spec takes one"):
+                seed_data_spec(spec, 7)
 
     def test_coupled_spec(self, grid32):
         w0, j0 = generate_initial_data(
