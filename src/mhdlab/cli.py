@@ -9,9 +9,10 @@ Subcommands:
   with the manifest's ``stop`` and a line on standard error naming which; 1
   on error.  The config is read into one :class:`Experiment`, which checks
   every key and value (unknown keys are errors) before any output directory
-  or data is made.  ``--seed N`` seeds a flat spec's family with N, and in a
-  coupled spec the vorticity with N and the current with N + 1; data with no
-  seeded family rejects it.
+  or data is made.  The data spec is read by the config's own schema reader
+  and resolved once on the configured grid, into the coupled shape that the
+  manifest records.  ``--seed N`` seeds the vorticity with N and the current
+  with N + 1; data with no seeded family rejects it.
 - ``verify {props,identities,recursions,regions,all}``: run a property suite,
   print the JSON verdict; nonzero exit naming the failing checks.
 - ``region p q [p0 q0 [q0_tilde q1]] | --csv file``: membership booleans and
@@ -39,13 +40,13 @@ from pathlib import Path
 from .field_io import read_field, write_field
 from .fields import Grid, lp_norm, make_grid
 from .initial_data import (
-    _checked_number,
+    _OWN_DEFAULT,
+    _read_block,
     box_study,
     check_box_study,
-    check_data_spec,
     generate_initial_data,
     initial_size_report,
-    seed_data_spec,
+    read_data_spec,
 )
 from .mild import (
     DivergenceError,
@@ -59,10 +60,7 @@ from .morrey import BallSampling, MorreyParams, WeightedSeminorms, morrey_norm_d
 from .theory import ConstantsLedger, RegionQuery, e2_witness_search, region_a1, region_a2, region_e1
 from .verify import run_suite
 
-#: every key of a simulate config: its kind (a JSON object for a block, a number (float), a whole
-#: number (int), bool, str or list) and its default; ``_OWN_DEFAULT`` leaves the default to the
-#: class that takes the value.  A null value stands for its default only where that default is null.
-_OWN_DEFAULT = object()
+#: the schema of every block of a simulate config, and of its top level (see ``_read_block``)
 _BLOCKS = {
     "grid": {"n": (int, 32), "l": (float, 2 * math.pi)},
     "mesh": {
@@ -84,37 +82,12 @@ _CONFIG = {
     "data": (dict, {"family": "single_mode"}),
     "output_dir": (str, "out"),
 }
-_KIND_NAMES = {dict: "an object", bool: "true or false", str: "a string", list: "a list"}
-
-
-def _read_block(prefix: str, block, schema: dict) -> dict:
-    """The keys of ``block``, checked against ``schema``, with the defaults that ``schema`` holds."""
-    unknown = sorted(set(block) - set(schema))
-    if unknown:
-        raise ValueError(
-            f"unknown config key(s) {', '.join(repr(prefix + k) for k in unknown)}; "
-            f"expected {', '.join(prefix + k for k in schema)}"
-        )
-    out = {}
-    for key, (kind, default) in schema.items():
-        value, name = block.get(key), prefix + key
-        if key not in block or (value is None and default is None):
-            if default is not _OWN_DEFAULT:
-                out[key] = default
-        elif kind in (int, float):
-            out[key] = _checked_number(name, value, whole=kind is int)
-        elif isinstance(value, kind):
-            out[key] = value
-        else:
-            raise ValueError(f"{name} must be {_KIND_NAMES[kind]}, got {value!r}")
-    return out
-
-
 @dataclass(frozen=True)
 class Experiment:
     """One ``simulate`` run, read from its JSON config and checked in full before any work.
 
-    ``exponents`` holds p, q, p0, q0 and ``tolerances`` picard_tol and
+    ``data`` is the data spec as :func:`read_data_spec` resolves it on
+    ``grid``; ``exponents`` holds p, q, p0, q0 and ``tolerances`` picard_tol and
     max_sweeps; ``oracle_dt`` is None when the oracle is off, and
     ``box_factors`` None when no box study runs.
     """
@@ -132,7 +105,7 @@ class Experiment:
 
     @classmethod
     def from_config(cls, cfg, seed: int | None = None) -> "Experiment":
-        """Parse, default and check a config; ``seed`` reseeds the data as :func:`seed_data_spec` does."""
+        """Parse, default and check a config; ``seed`` reseeds the data as :func:`read_data_spec` does."""
         if not isinstance(cfg, dict):
             raise ValueError(f"config must be a JSON object, got {type(cfg).__name__}")
         top = _read_block("", cfg, _CONFIG)
@@ -163,10 +136,7 @@ class Experiment:
             ledger.set(name, value, "user")
         oracle = block["oracle"]
 
-        data = top["data"]
-        check_data_spec(data)
-        if seed is not None:
-            data = seed_data_spec(data, seed)
+        data = read_data_spec(top["data"], grid, seed)
         return cls(
             grid=grid,
             mesh=mesh,
@@ -321,10 +291,7 @@ def _parse_exponents(text: str) -> list[MorreyParams]:
         p_str, _, lam_str = part.partition(":")
         if not lam_str:
             raise ValueError(f"bad exponent {part!r}; expected p:lambda")
-        p, lam = float(p_str), float(lam_str)
-        if not 0 <= lam < 3:
-            raise ValueError("lambda out of [0,3)")
-        out.append(MorreyParams(p, lam))
+        out.append(MorreyParams(float(p_str), float(lam_str)))
     return out
 
 

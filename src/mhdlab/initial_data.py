@@ -1,5 +1,8 @@
 """Initial-data families: single Fourier modes, smooth vortex rings, seeded random fields.
 
+:func:`read_data_spec`, through the config's schema reader :func:`_read_block`,
+resolves a data spec on a grid into the one shape that the builders read.
+
 Every family ends in one spectral finish, :func:`_finalize` (2/3 dealias, Leray
 projection, zero mean, one inverse transform, scaling to the peak), so every field
 is solenoidal, mean-free and band-limited and fixed-point iterates built from it
@@ -37,6 +40,36 @@ def _checked_number(name: str, value, whole: bool = False) -> float | int:
     return int(value) if whole else float(value)
 
 
+#: a schema maps each key to its kind (a JSON object for a block, a number (float), a whole number
+#: (int), bool, str or list) and its default; ``_OWN_DEFAULT`` leaves the default to the class that
+#: takes the value.  A null value stands for its default only where that default is null.
+_OWN_DEFAULT = object()
+_KIND_NAMES = {dict: "an object", bool: "true or false", str: "a string", list: "a list"}
+
+
+def _read_block(prefix: str, block, schema: dict) -> dict:
+    """The keys of ``block`` (block ``prefix``), checked against ``schema``, with the defaults it holds."""
+    unknown = sorted(set(block) - set(schema))
+    if unknown:
+        raise ValueError(
+            f"unknown key(s) {', '.join(map(repr, unknown))} in {prefix[:-1] or 'the config'}; "
+            f"expected {', '.join(schema)}"
+        )
+    out = {}
+    for key, (kind, default) in schema.items():
+        value, name = block.get(key), prefix + key
+        if key not in block or (value is None and default is None):
+            if default is not _OWN_DEFAULT:
+                out[key] = default
+        elif kind in (int, float):
+            out[key] = _checked_number(name, value, whole=kind is int)
+        elif isinstance(value, kind):
+            out[key] = value
+        else:
+            raise ValueError(f"{name} must be {_KIND_NAMES[kind]}, got {value!r}")
+    return out
+
+
 def _finalize(vh: np.ndarray, grid: Grid, amplitude: float) -> VectorField:
     """The field of half spectrum ``vh``: dealiased, projected, de-meaned, scaled to peak ``amplitude``."""
     vh = _leray_hat(_dealias_hat(vh, grid), grid)
@@ -65,32 +98,30 @@ def _noise_hat(grid: Grid, seed: int, cutoff: float, slope: float, window: np.nd
 
 
 def _single_mode(spec: dict, grid: Grid) -> np.ndarray:
-    k = tuple(int(v) for v in spec.get("wavevector", (1, 0, 0)))
-    comp = int(spec.get("component", 3)) - 1
-    if comp not in (0, 1, 2):
-        raise ValueError("component must be 1, 2 or 3")
-    if all(v == 0 for v in k):
-        raise ValueError("wavevector must be nonzero")
-    if k[comp] != 0:
-        raise ValueError("wavevector must be orthogonal to the carried component")
+    k = spec["wavevector"]
     x1, x2, x3 = grid.meshgrid()
     phase = 2.0 * math.pi / grid.l * (k[0] * x1 + k[1] * x2 + k[2] * x3)
     vals = np.zeros((3,) + (grid.n,) * 3)
-    vals[comp] = np.cos(phase)
+    vals[spec["component"] - 1] = np.cos(phase)
     return _fwd(vals)
 
 
+def _check_single_mode(where: str, spec: dict, grid: Grid) -> None:
+    k = spec["wavevector"]
+    if len(k) != 3:
+        raise ValueError(f"{where}wavevector must be a list of three whole numbers, got {k!r}")
+    k = spec["wavevector"] = [_checked_number(f"{where}wavevector", v, whole=True) for v in k]  # as ints
+    comp = spec["component"]
+    if comp not in (1, 2, 3):
+        raise ValueError(f"{where}component must be 1, 2 or 3, got {comp}")
+    if not any(k):
+        raise ValueError(f"{where}wavevector must be nonzero")
+    if k[comp - 1]:
+        raise ValueError(f"{where}wavevector {k} must be orthogonal to the carried component {comp}")
+
+
 def _gaussian_vortex_ring(spec: dict, grid: Grid) -> np.ndarray:
-    radius = float(spec.get("radius", grid.l / 10))
-    core = float(spec.get("core_width", grid.l / 16))
-    if core < 4 * grid.spacing:
-        raise ValueError(
-            f"core width {core} is below 4 grid spacings ({4 * grid.spacing}); "
-            "thinner tubes are not resolvable"
-        )
-    # 6 cores of clearance puts the boundary magnitude near the 1e-8 contract
-    if radius + 6 * core > grid.l / 2:
-        raise ValueError("ring does not decay inside the box")
+    radius, core = spec["radius"], spec["core_width"]
     c = grid.l / 2
     x1, x2, x3 = grid.meshgrid()
     rho = np.sqrt((x1 - c) ** 2 + (x2 - c) ** 2)
@@ -114,116 +145,104 @@ def _gaussian_vortex_ring(spec: dict, grid: Grid) -> np.ndarray:
     return _fwd(vals)
 
 
+def _check_ring(where: str, spec: dict, grid: Grid) -> None:
+    radius, core = spec["radius"], spec["core_width"]
+    if core < 4 * grid.spacing:
+        raise ValueError(f"{where}core_width {core} is below 4 grid spacings ({4 * grid.spacing}); too thin to resolve")
+    # 6 cores of clearance puts the boundary magnitude near the 1e-8 contract
+    if radius + 6 * core > grid.l / 2:
+        raise ValueError(f"ring does not decay inside the box: {where}radius + 6 {where}core_width > l/2")
+
+
 def _random_divfree(spec: dict, grid: Grid) -> np.ndarray:
-    cutoff, slope = float(spec.get("cutoff", grid.n / 4)), float(spec.get("slope", -2.0))
-    return _noise_hat(grid, int(spec.get("seed", 0)), cutoff, slope)
+    return _noise_hat(grid, spec["seed"], spec["cutoff"], spec["slope"])
 
 
-#: each family's half-spectrum builder (none for ``zero``) and the keys its spec may hold besides
-#: ``family``, with their kinds: a number (float), a whole number (int) or three whole numbers (list)
+def _check_random_divfree(where: str, spec: dict, grid: Grid) -> None:
+    if spec["seed"] < 0:
+        raise ValueError(f"{where}seed must be non-negative, got {spec['seed']}")
+
+
+#: each family's half-spectrum builder (none for ``zero``), the schema of the keys its spec may hold
+#: besides ``family`` (a callable default is a function of the grid) and its value check
+_AMPLITUDE = {"amplitude": (float, 1.0)}
 _FAMILY_TABLE = {
-    "single_mode": (_single_mode, {"amplitude": float, "wavevector": list, "component": int}),
+    "single_mode": (
+        _single_mode,
+        {**_AMPLITUDE, "wavevector": (list, [1, 0, 0]), "component": (int, 3)},
+        _check_single_mode,
+    ),
     "gaussian_vortex_ring": (
         _gaussian_vortex_ring,
-        {"amplitude": float, "radius": float, "core_width": float},
+        {**_AMPLITUDE, "radius": (float, lambda g: g.l / 10), "core_width": (float, lambda g: g.l / 16)},
+        _check_ring,
     ),
-    "random_divfree": (_random_divfree, {"amplitude": float, "cutoff": float, "slope": float, "seed": int}),
-    "zero": (None, {}),
+    "random_divfree": (
+        _random_divfree,
+        {**_AMPLITUDE, "cutoff": (float, lambda g: g.n / 4), "slope": (float, -2.0), "seed": (int, 0)},
+        _check_random_divfree,
+    ),
+    "zero": (None, {}, None),
 }
 
+#: the keys of a coupled spec: a null ``omega`` is an error, a null ``j`` a zero current
+_COUPLED = {"omega": (dict, {}), "j": (dict, None)}
 
-def _check_family_spec(spec, where: str) -> None:
-    """Reject a family spec (named ``where``) whose family, keys or value kinds are not in its table row."""
-    if not isinstance(spec, dict):
-        raise ValueError(f"{where} must be an object, got {spec!r}")
+
+def _read_family(where: str, spec: dict, grid: Grid) -> dict:
+    """A family spec whose keys are named ``where`` + key, with every key set; defaults taken on ``grid``."""
     family = spec.get("family")
-    if family not in _FAMILY_TABLE:
-        raise ValueError(f"unknown data family {family!r} in {where}; expected one of {tuple(_FAMILY_TABLE)}")
-    kinds = _FAMILY_TABLE[family][1]
-    unknown = sorted(set(spec) - {"family", *kinds})
-    if unknown:
-        raise ValueError(
-            f"unknown key(s) {', '.join(map(repr, unknown))} in {where}; "
-            f"a {family} spec holds family{''.join(', ' + k for k in kinds)}"
-        )
-    for key in (k for k in kinds if k in spec):
-        kind, value = kinds[key], spec[key]
-        if kind is list and not (isinstance(value, list) and len(value) == 3):
-            raise ValueError(f"{where}.{key} must be a list of three whole numbers, got {value!r}")
-        for v in value if kind is list else [value]:
-            _checked_number(f"{where}.{key}", v, whole=kind is not float)
-    if not spec.get("amplitude", 1.0) > 0:
-        raise ValueError(f"{where}.amplitude must be positive")
+    if not (isinstance(family, str) and family in _FAMILY_TABLE):
+        raise ValueError(f"unknown data family {family!r} in {where[:-1]}; expected one of {tuple(_FAMILY_TABLE)}")
+    schema = {key: (kind, d(grid) if callable(d) else d) for key, (kind, d) in _FAMILY_TABLE[family][1].items()}
+    return _read_block(where, spec, {"family": (str, None), **schema})
 
 
-def check_data_spec(spec) -> None:
-    """Reject a data spec before any field is generated: a bad shape, family, key or value kind.
+def read_data_spec(spec, grid: Grid, seed: int | None = None) -> dict:
+    """A data spec, read and checked on ``grid``: ``{"omega": {...}, "j": {...}}``, each with every key.
 
-    A flat spec names a ``family``; a coupled spec holds only ``omega`` and an
-    optional ``j`` (absent, null or empty: a zero current).  Each family spec
-    holds only the keys of its row in the family table.
+    A flat spec (it names a ``family``) is omega's, with a zero current; a
+    coupled spec holds ``omega`` and an optional ``j`` (absent, null or empty:
+    zero).  An absent key takes its family table default, taken on ``grid``
+    where it is grid-relative.  ``seed`` reseeds the seeded families, omega
+    with ``seed`` and j with ``seed + 1``, since coupled data with omega = j has
+    no nonlinear terms; data with no seeded family rejects it.  A read spec
+    reads the same again.
     """
-    if isinstance(spec, dict) and "family" in spec:
-        _check_family_spec(spec, "data")
-        return
-    if not isinstance(spec, dict) or "omega" not in spec:
-        raise ValueError("data spec needs a 'family' key or an 'omega' sub-spec")
-    unknown = sorted(set(spec) - {"omega", "j"})
-    if unknown:
-        raise ValueError(
-            f"unknown key(s) {', '.join(map(repr, unknown))} in data; a coupled spec holds omega and j"
-        )
-    _check_family_spec(spec["omega"], "data.omega")
-    if spec.get("j"):
-        _check_family_spec(spec["j"], "data.j")
-
-
-def _seeded(spec) -> bool:
-    return bool(spec) and "seed" in _FAMILY_TABLE[spec["family"]][1]
-
-
-def seed_data_spec(spec: dict, seed: int) -> dict:
-    """A checked data spec with its seeded families reseeded.
-
-    A flat spec takes ``seed``; in a coupled spec omega takes ``seed`` and j
-    ``seed + 1``.  Distinct seeds keep coupled data from collapsing to
-    omega = j, where both nonlinear terms cancel identically.  A spec with no
-    seeded family is rejected, since nothing would read the seed.
-    """
-    if "family" in spec:
-        reseeded = {"seed": seed} if _seeded(spec) else {}
-    else:
-        reseeded = {
-            key: {**spec[key], "seed": seed + offset}
-            for offset, key in enumerate(("omega", "j"))
-            if _seeded(spec.get(key))
-        }
-    if not reseeded:
-        raise ValueError("a seed was given, but no family of this data spec takes one")
-    return {**spec, **reseeded}
+    if not isinstance(spec, dict) or not ("family" in spec or "omega" in spec):
+        raise ValueError(f"data spec needs a 'family' key or an 'omega' sub-spec, got {spec!r}")
+    flat = "family" in spec
+    parts = {"omega": spec, "j": None} if flat else _read_block("data.", spec, _COUPLED)
+    where = {"omega": "data." if flat else "data.omega.", "j": "data.j."}
+    out = {"omega": _read_family(where["omega"], parts["omega"], grid)}
+    out["j"] = _read_family(where["j"], parts["j"] or {"family": "zero"}, grid)
+    if seed is not None:
+        if not any("seed" in sub for sub in out.values()):
+            raise ValueError("a seed was given, but no family of this data spec takes one")
+        for offset, sub in enumerate(out.values()):
+            if "seed" in sub:
+                sub["seed"] = seed + offset
+    for key, sub in out.items():
+        if "amplitude" in sub and not sub["amplitude"] > 0:
+            raise ValueError(f"{where[key]}amplitude must be positive, got {sub['amplitude']}")
+        check = _FAMILY_TABLE[sub["family"]][2]
+        if check:
+            check(where[key], sub, grid)
+    return out
 
 
 def _one_field(spec: dict, grid: Grid) -> VectorField:
     build = _FAMILY_TABLE[spec["family"]][0]
-    if build is None:
-        return zero_vector(grid)
-    return _finalize(build(spec, grid), grid, float(spec.get("amplitude", 1.0)))
+    return zero_vector(grid) if build is None else _finalize(build(spec, grid), grid, spec["amplitude"])
 
 
 def generate_initial_data(spec: dict, grid: Grid) -> tuple[VectorField, VectorField]:
-    """Generate the initial (vorticity, current) pair from a data spec.
+    """The initial (vorticity, current) pair of a data spec, read on ``grid`` by :func:`read_data_spec`.
 
-    A flat spec ``{"family": ..., ...}`` generates the vorticity and leaves the
-    current zero; ``{"omega": {...}, "j": {...}}`` generates both.  Fields are
-    deterministic per seed.  The spec is checked first (:func:`check_data_spec`).
+    Fields are deterministic per seed.
     """
-    check_data_spec(spec)
-    if "family" in spec:
-        return _one_field(spec, grid), zero_vector(grid)
-    w0 = _one_field(spec["omega"], grid)
-    j_spec = spec.get("j")
-    j0 = _one_field(j_spec, grid) if j_spec else zero_vector(grid)
-    return w0, j0
+    spec = read_data_spec(spec, grid)
+    return _one_field(spec["omega"], grid), _one_field(spec["j"], grid)
 
 
 def initial_size_report(
@@ -246,11 +265,8 @@ def initial_size_report(
 
 
 def check_box_study(spec: dict, factors) -> tuple[int, ...]:
-    """The box factors as ints, once ``spec`` is localized data and every factor a whole power of two."""
-    families = [spec.get("family")] if "family" in spec else [
-        sub.get("family") for sub in (spec.get("omega"), spec.get("j")) if sub
-    ]
-    if any(f not in ("gaussian_vortex_ring", "zero") for f in families):
+    """The box factors as ints, once the read ``spec`` is localized and every factor a whole power of two."""
+    if any(sub["family"] not in ("gaussian_vortex_ring", "zero") for sub in spec.values()):
         raise ValueError("box study needs localized data (gaussian_vortex_ring)")
     if not isinstance(factors, (list, tuple)) or not all(
         isinstance(f, (int, float)) and not isinstance(f, bool) and f >= 1 and float(f).is_integer()
@@ -264,13 +280,14 @@ def check_box_study(spec: dict, factors) -> tuple[int, ...]:
 def box_study(spec: dict, grid: Grid, factors=(2,), sampling: BallSampling = BallSampling()) -> list[dict]:
     """Convergence-in-box-size diagnostic for localized data.
 
-    Regenerates the same physical data on boxes enlarged by each (power of
-    two) factor, with the grid refined in step so the spacing stays fixed, and
-    reports the localized-mass norms; stabilization under enlargement means
-    the box is big enough for the norm suprema.  Only meaningful for families
-    with absolute length scales (the vortex ring); periodic families are tied
-    to the box.
+    Regenerates the data read on ``grid`` (default ring sizes included) on
+    boxes enlarged by each (power of two) factor, with the grid refined in step
+    so the spacing stays fixed, and reports the localized-mass norms;
+    stabilization under enlargement means the box is big enough for the norm
+    suprema.  Only meaningful for families with absolute length scales (the
+    vortex ring); periodic families are tied to the box.
     """
+    spec = read_data_spec(spec, grid)
     out = []
     for factor in (1, *check_box_study(spec, factors)):
         big = Grid(grid.n * factor, grid.l * factor)

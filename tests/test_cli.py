@@ -94,7 +94,7 @@ class TestSimulate:
         )
         assert main(["simulate", "--config", str(path), "--seed", "11"]) == 0
         manifest = json.loads((tmp_path / "out" / "manifest.json").read_text())
-        assert manifest["config"]["data"]["seed"] == 11
+        assert manifest["config"]["data"]["omega"]["seed"] == 11
 
     def test_seed_override_keeps_coupled_fields_apart(self, tmp_path):
         data = {
@@ -261,7 +261,7 @@ class TestSimulate:
     @pytest.mark.parametrize(
         "overrides, message",
         [
-            ({"tolerances": {"max_sweep": 1}}, "'tolerances.max_sweep'"),
+            ({"tolerances": {"max_sweep": 1}}, "'max_sweep' in tolerances"),
             ({"data": {"family": "single_mode", "amplitud": 1e-3}}, "'amplitud' in data"),
             ({"data": {"omega": {"family": "zero"}, "current": {"family": "zero"}}}, "'current' in data"),
             ({"data": {"family": "random_divfree", "amplitude": None}}, "data.amplitude must be a number"),
@@ -271,17 +271,25 @@ class TestSimulate:
             ({"grid": 5}, "grid must be an object"),
             ({"grid": {"n": 32.5}}, "grid.n must be a whole number"),
             ({"constants": [1]}, "constants must be an object"),
-            ({"constants": {"heat_smothing": 2.0}}, "'constants.heat_smothing'"),
+            ({"constants": {"heat_smothing": 2.0}}, "'heat_smothing' in constants"),
             ({"exponents": {"p": None}}, "exponents.p must be a number"),
             ({"mesh": {"num_nodes": "9"}}, "mesh.num_nodes must be a whole number"),
             ({"mesh": {"quad_order": 2.5}}, "mesh.quad_order must be a whole number"),
             ({"mesh": {"ratio": 2.0}}, "mesh.ratio applies only to graded spacing"),
             ({"sampling": {"stride": 1.5}}, "sampling.stride must be a whole number"),
             ({"sampling": {"radii_per_octave": True}}, "sampling.radii_per_octave must be a whole number"),
-            ({"data": RING, "box_study": {"factors": [3]}}, "powers of two"),
+            ({"grid": {"n": 64}, "data": RING, "box_study": {"factors": [3]}}, "powers of two"),
             ({"data": RING, "box_study": {"factors": 2}}, "box_study.factors must be a list"),
             ({"box_study": {}}, "box study needs localized data"),
             ({"output": "elsewhere"}, "'output'"),
+            ({"data": {"family": "single_mode", "component": 4}}, "data.component"),
+            ({"data": {"family": "random_divfree", "seed": -1}}, "data.seed"),
+            ({"data": {"family": "single_mode", "wavevector": [0, 0, 0]}}, "data.wavevector"),
+            ({"data": {"family": "single_mode", "wavevector": [0, 0, 1], "component": 3}}, "data.wavevector"),
+            (
+                {"grid": {"n": 16}, "data": {"family": "gaussian_vortex_ring", "core_width": 0.1}},
+                "data.core_width",
+            ),
         ],
     )
     def test_rejects_bad_config_before_any_work(self, tmp_path, capsys, monkeypatch, overrides, message):
@@ -397,7 +405,9 @@ class TestNorms:
         g = make_grid(32, 2 * math.pi)
         write_field(tmp_path / "f.mhf", ScalarField(g, np.zeros((32,) * 3)))
         assert main(["norms", str(tmp_path / "f.mhf"), "--exponents", "1:3.5"]) == 1
-        assert "lambda out of" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "Traceback" not in err
+        assert "scaling exponent must lie in [0, 3)" in err
 
     def test_rejects_malformed_file(self, tmp_path, capsys):
         bad = tmp_path / "bad.mhf"

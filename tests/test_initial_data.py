@@ -7,10 +7,9 @@ from mhdlab import initial_data
 from mhdlab.fields import divergence, lp_norm, make_grid
 from mhdlab.initial_data import (
     box_study,
-    check_data_spec,
     generate_initial_data,
     initial_size_report,
-    seed_data_spec,
+    read_data_spec,
 )
 from mhdlab.morrey import MorreyParams, morrey_norm
 
@@ -136,6 +135,23 @@ def test_families_run_on_the_half_spectrum(no_full_fft, grid64, spec):
     assert np.all(np.isfinite(w0.values))
 
 
+@pytest.mark.parametrize("family", ["single_mode", "gaussian_vortex_ring", "random_divfree", "zero"])
+def test_defaults_are_pinned(grid64, family):
+    # the values that unset keys take: those the builders read before the specs were resolved
+    l, n = grid64.l, grid64.n
+    defaults = {
+        "single_mode": {"amplitude": 1.0, "wavevector": [1, 0, 0], "component": 3},
+        "gaussian_vortex_ring": {"amplitude": 1.0, "radius": l / 10, "core_width": l / 16},
+        "random_divfree": {"amplitude": 1.0, "cutoff": n / 4, "slope": -2.0, "seed": 0},
+        "zero": {},
+    }[family]
+    partial = {"family": family}
+    resolved = read_data_spec(partial, grid64)
+    assert resolved == {"omega": {**partial, **defaults}, "j": {"family": "zero"}}
+    for a, b in zip(generate_initial_data(partial, grid64), generate_initial_data(resolved, grid64)):
+        assert np.array_equal(a.values, b.values)
+
+
 class TestSpecHandling:
     def test_unknown_family(self, grid32):
         with pytest.raises(ValueError, match="unknown data family"):
@@ -176,21 +192,25 @@ class TestSpecHandling:
             ("component", True),
         ],
     )
-    def test_rejects_values_of_the_wrong_kind(self, key, value):
+    def test_rejects_values_of_the_wrong_kind(self, grid32, key, value):
         spec = {"family": "single_mode", "wavevector": [1, 0, 0], "component": 3, key: value}
         with pytest.raises(ValueError, match=f"data.{key} must be"):
-            check_data_spec(spec)
+            read_data_spec(spec, grid32)
 
-    def test_seed_goes_to_the_seeded_families(self):
+    def test_seed_goes_to_the_seeded_families(self, grid32):
         random = {"family": "random_divfree", "seed": 0}
         mode = {"family": "single_mode"}
-        assert seed_data_spec(random, 7) == {**random, "seed": 7}
-        coupled = seed_data_spec({"omega": random, "j": random}, 7)
+        read = read_data_spec(random, grid32)["omega"]
+        assert read_data_spec(random, grid32, 7)["omega"] == {**read, "seed": 7}
+        coupled = read_data_spec({"omega": random, "j": random}, grid32, 7)
         assert (coupled["omega"]["seed"], coupled["j"]["seed"]) == (7, 8)
-        assert seed_data_spec({"omega": mode, "j": random}, 7) == {"omega": mode, "j": {**random, "seed": 8}}
+        assert read_data_spec({"omega": mode, "j": random}, grid32, 7) == {
+            "omega": read_data_spec(mode, grid32)["omega"],
+            "j": {**read, "seed": 8},
+        }
         for spec in (mode, {"omega": mode}, {"omega": mode, "j": {"family": "zero"}}):
             with pytest.raises(ValueError, match="no family of this data spec takes one"):
-                seed_data_spec(spec, 7)
+                read_data_spec(spec, grid32, 7)
 
     def test_coupled_spec(self, grid32):
         w0, j0 = generate_initial_data(
@@ -230,11 +250,18 @@ class TestBoxStudy:
             box_study({"family": "single_mode"}, grid32, factors=[2.0])
 
     @pytest.mark.parametrize("factors", [[1.5, 2.0], [2, 3], [0]])
-    def test_rejects_bad_factors_before_generating(self, grid32, monkeypatch, factors):
+    def test_rejects_bad_factors_before_generating(self, grid64, monkeypatch, factors):
         def forbidden(*args, **kwargs):
             raise AssertionError("data generated before the factors were checked")
 
         monkeypatch.setattr(initial_data, "generate_initial_data", forbidden)
         spec = {"family": "gaussian_vortex_ring", "radius": 0.6, "core_width": 0.4}
         with pytest.raises(ValueError, match="powers of two"):
-            box_study(spec, grid32, factors=factors)
+            box_study(spec, grid64, factors=factors)
+
+    def test_default_ring_keeps_its_physical_size(self, grid64):
+        # the default radius l/10 and core l/16 are those of the base box, not of the enlarged one
+        written = {"family": "gaussian_vortex_ring", "radius": grid64.l / 10, "core_width": grid64.l / 16}
+        rows = box_study({"family": "gaussian_vortex_ring"}, grid64, factors=[2])
+        assert rows == box_study(written, grid64, factors=[2])
+        assert rows[1]["omega_m11"] == pytest.approx(rows[0]["omega_m11"], rel=0.01)
