@@ -57,7 +57,7 @@ from .mild import (
     trace_distance,
 )
 from .morrey import BallSampling, MorreyParams, WeightedSeminorms, morrey_norm_detail, weighted_seminorms
-from .theory import ConstantsLedger, RegionQuery, e2_witness_search, region_a1, region_a2, region_e1
+from .theory import RegionQuery, e2_witness_search, region_a1, region_a2, region_e1
 from .verify import run_suite
 
 #: the schema of every block of a simulate config, and of its top level (see ``_read_block``)
@@ -73,7 +73,6 @@ _BLOCKS = {
     "exponents": {"p": (float, 1.5), "q": (float, 1.0), "p0": (float, 1.0), "q0": (float, 1.0)},
     "tolerances": {"picard_tol": (float, 1e-8), "max_sweeps": (int, 50)},
     "sampling": {"stride": (int, _OWN_DEFAULT), "radii_per_octave": (int, _OWN_DEFAULT)},
-    "constants": {name: (float, _OWN_DEFAULT) for name in ConstantsLedger().values},
     "oracle": {"enabled": (bool, False), "dt": (float, None)},
     "box_study": {"factors": (list, [2])},
 }
@@ -82,6 +81,8 @@ _CONFIG = {
     "data": (dict, {"family": "single_mode"}),
     "output_dir": (str, "out"),
 }
+
+
 @dataclass(frozen=True)
 class Experiment:
     """One ``simulate`` run, read from its JSON config and checked in full before any work.
@@ -98,7 +99,6 @@ class Experiment:
     exponents: dict
     tolerances: dict
     sampling: BallSampling
-    ledger: ConstantsLedger
     oracle_dt: float | None
     box_factors: tuple[int, ...] | None
     output_dir: Path
@@ -131,9 +131,6 @@ class Experiment:
             raise ValueError(f"picard_tol must be positive, got {tols['picard_tol']}")
         if tols["max_sweeps"] < 1:
             raise ValueError(f"max_sweeps must be at least 1, got {tols['max_sweeps']}")
-        ledger = ConstantsLedger()
-        for name, value in block["constants"].items():
-            ledger.set(name, value, "user")
         oracle = block["oracle"]
 
         data = read_data_spec(top["data"], grid, seed)
@@ -144,7 +141,6 @@ class Experiment:
             exponents=exps,
             tolerances=tols,
             sampling=BallSampling(**block["sampling"]),
-            ledger=ledger,
             oracle_dt=oracle_step(grid, oracle["dt"]) if oracle["enabled"] else None,
             box_factors=(
                 None if top["box_study"] is None else check_box_study(data, block["box_study"]["factors"])
@@ -209,7 +205,6 @@ def _cmd_simulate(args) -> int:
 
     manifest = {
         "config": exp.manifest_config(),
-        "constants": exp.ledger.as_dict(),
         "initial_norms": sizes,
         "converged": report.converged,
         "stop": report.stop,
@@ -296,9 +291,9 @@ def _parse_exponents(text: str) -> list[MorreyParams]:
 
 
 def _cmd_norms(args) -> int:
-    field = read_field(args.field)
     exponents = _parse_exponents(args.exponents)
     sampling = BallSampling(stride=args.stride, radii_per_octave=args.radii_per_octave)
+    field = read_field(args.field)
     writer = csv.writer(sys.stdout)
     writer.writerow(["p", "lambda", "value", "center_x1", "center_x2", "center_x3", "radius"])
     for mp in exponents:

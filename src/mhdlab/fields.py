@@ -344,7 +344,9 @@ def lp_norm(f: Field, p: float) -> float:
     """Riemann-sum L^p norm over the box; vector fields use Euclidean magnitude.
 
     ``p = inf`` returns the max magnitude.  Values of ``p`` below 1 are
-    rejected.
+    rejected.  When the power sum overflows while the magnitudes are finite,
+    it is redone on the magnitudes scaled by a power of two that takes the
+    largest below 1, and the root is scaled back.
     """
     if p != math.inf and not p >= 1:
         raise ValueError(f"exponent p must satisfy p >= 1 or p = inf, got {p}")
@@ -352,7 +354,12 @@ def lp_norm(f: Field, p: float) -> float:
     if p == math.inf:
         return float(mag.max())
     h3 = f.grid.spacing**3
-    return float((np.sum(mag**p) * h3) ** (1.0 / p))
+    with np.errstate(over="ignore"):
+        total = np.sum(mag**p) * h3
+    if total == math.inf and math.isfinite(peak := float(mag.max())):
+        _, e = math.frexp(peak)
+        return math.ldexp(float((np.sum(np.ldexp(mag, -e) ** p) * h3) ** (1.0 / p)), e)
+    return float(total ** (1.0 / p))
 
 
 def mean_value(f: ScalarField) -> float:

@@ -254,14 +254,18 @@ def initial_size_report(
 ) -> dict[str, float]:
     """Norms of the initial pair entering the smallness conditions.
 
-    Both the localized-mass (1, 1) norms and the configured (p0, q0) norms are
-    reported; whether to enforce smallness in both is left to the experiment.
+    The localized-mass (1, 1) norms ``omega_m11`` and ``j_m11`` are always
+    reported, and the configured (p0, q0) norms ``omega_mp0q0`` and ``j_mp0q0``
+    when (p0, q0) is not (1, 1); whether to enforce smallness in both is left
+    to the experiment.
     """
     mp11, mp0 = MorreyParams(1.0, 1.0), MorreyParams(p0, q0)
-    # one estimate per distinct exponent pair: the default (p0, q0) is (1, 1)
-    norms = {mp: (morrey_norm(w0, mp, sampling), morrey_norm(j0, mp, sampling)) for mp in {mp11, mp0}}
-    (w11, j11), (wp0, jp0) = norms[mp11], norms[mp0]
-    return {"omega_m11": w11, "j_m11": j11, "omega_mp0q0": wp0, "j_mp0q0": jp0}
+    scales = {"m11": mp11} if mp0 == mp11 else {"m11": mp11, "mp0q0": mp0}
+    out = {}
+    for tag, mp in scales.items():
+        out[f"omega_{tag}"] = morrey_norm(w0, mp, sampling)
+        out[f"j_{tag}"] = morrey_norm(j0, mp, sampling)
+    return out
 
 
 def check_box_study(spec: dict, factors) -> tuple[int, ...]:

@@ -2,15 +2,15 @@
 the vector-calculus identities used to close the estimates.
 
 Region membership follows the defining inequalities literally, with exact
-comparisons (no epsilon padding).  The inequality constants that the analysis
-leaves unspecified live in a :class:`ConstantsLedger` with provenance tags;
-they default to 1.
+comparisons (no epsilon padding).  The smallness threshold reads three gains,
+constants that the analysis leaves unspecified; a frozen
+:class:`ConstantsLedger` holds them (1 by default) with one provenance tag.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -282,47 +282,30 @@ def e2_witness_search(rq: RegionQuery) -> E2Witness | None:
 # constants ledger and the smallness threshold
 
 
-_DEFAULT_CONSTANTS = {
-    "viscosity": 1.0,
-    "resistivity": 1.0,
-    "heat_smoothing": 1.0,      # gain of the heat flow between the two Morrey norms
-    "duhamel_smoothing": 1.0,   # gain of the heat-smoothed time convolution
-    "product_estimate": 1.0,    # gain of the bilinear product/curl-inversion bound
-}
-
-
-@dataclass
+@dataclass(frozen=True)
 class ConstantsLedger:
-    """Named positive constants with provenance (default | empirical | user)."""
+    """The three gains that :func:`smallness_threshold` reads, and where they came from.
 
-    values: dict[str, float] = field(default_factory=lambda: dict(_DEFAULT_CONSTANTS))
-    provenance: dict[str, str] = field(
-        default_factory=lambda: {k: "default" for k in _DEFAULT_CONSTANTS}
-    )
+    Each gain is a constant that the analysis leaves unspecified, 1 by default.
+    ``provenance`` is ``"empirical"`` when :func:`mhdlab.verify.estimated_ledger`
+    measured the gains, and ``"default"`` otherwise.
+    """
+
+    heat_smoothing: float = 1.0     # gain of the heat flow between the two Morrey norms
+    duhamel_smoothing: float = 1.0  # gain of the heat-smoothed time convolution
+    product_estimate: float = 1.0   # gain of the bilinear product/curl-inversion bound
+    provenance: str = "default"
 
     def __post_init__(self) -> None:
-        for name, v in self.values.items():
-            if not v > 0:
-                raise ValueError(f"ledger entry {name!r} must be positive, got {v}")
-            self.provenance.setdefault(name, "default")
-
-    def get(self, name: str) -> float:
-        return self.values[name]
-
-    def set(self, name: str, value: float, provenance: str = "user") -> None:
-        if not value > 0:
-            raise ValueError(f"ledger entry {name!r} must be positive, got {value}")
-        self.values[name] = float(value)
-        self.provenance[name] = provenance
-
-    def as_dict(self) -> dict[str, dict[str, float | str]]:
-        return {
-            name: {"value": self.values[name], "provenance": self.provenance[name]}
-            for name in sorted(self.values)
-        }
+        for name in ("heat_smoothing", "duhamel_smoothing", "product_estimate"):
+            value = getattr(self, name)
+            if not value > 0:
+                raise ValueError(f"ledger gain {name!r} must be positive, got {value}")
+        if self.provenance not in ("default", "empirical"):
+            raise ValueError(f"ledger provenance must be 'default' or 'empirical', got {self.provenance!r}")
 
 
-def smallness_threshold(p: float, q: float, ledger: ConstantsLedger | None = None) -> float:
+def smallness_threshold(p: float, q: float, ledger: ConstantsLedger = ConstantsLedger()) -> float:
     """Initial-size bound under which the whole-trajectory iteration contracts.
 
     ``min(1/C(1 - (3-q)/(2p), (3-q)/p - 1), 1) / (32 * g_heat * g_duhamel * g_product)``
@@ -330,14 +313,9 @@ def smallness_threshold(p: float, q: float, ledger: ConstantsLedger | None = Non
     """
     if not region_a1(p, q):
         raise ValueError(f"(p, q) = ({p}, {q}) is outside the admissible region")
-    ledger = ledger if ledger is not None else ConstantsLedger()
     a = 1.0 - (3.0 - q) / (2.0 * p)
     b = (3.0 - q) / p - 1.0
-    gains = (
-        ledger.get("heat_smoothing")
-        * ledger.get("duhamel_smoothing")
-        * ledger.get("product_estimate")
-    )
+    gains = ledger.heat_smoothing * ledger.duhamel_smoothing * ledger.product_estimate
     return min(1.0 / beta_C(a, b), 1.0) / (32.0 * gains)
 
 

@@ -226,7 +226,7 @@ def suite_regions() -> dict:
         )
     checks.append(_check("witness_closed_form", worst, 1e-9, passed=all_found and worst <= 1e-9))
 
-    g1 = theory.smallness_threshold(1.5, 1.0, ConstantsLedger())
+    g1 = theory.smallness_threshold(1.5, 1.0)
     checks.append(_check("smallness_threshold_canonical", abs(g1 - 0.0058963), 1e-6))
     return _finish("regions", checks)
 
@@ -333,11 +333,10 @@ def run_suite(name: str) -> dict:
 
 
 def estimated_ledger(grid=None) -> ConstantsLedger:
-    """Fill the inequality constants empirically from smoothing and product scans."""
+    """The three gains of the smallness threshold, measured by smoothing and product scans."""
     grid = grid if grid is not None else _default_grid()
     bump = gaussian_bump(grid, 0.3)
     tw = tuple(np.geomspace(1e-2, 1.0, 7))
-    ledger = ConstantsLedger()
     heat_sup = smoothing_ratio_scan(bump, MorreyParams(1, 1), MorreyParams(1.5, 1), tw, "heat").sup
     grad_sup = smoothing_ratio_scan(
         bump, MorreyParams(1, 1), MorreyParams(1.5, 1), tw, "heat_grad"
@@ -351,7 +350,6 @@ def estimated_ledger(grid=None) -> ConstantsLedger:
             np.sqrt(np.sum(u.values**2, axis=0)) * np.sqrt(np.sum(w.values**2, axis=0)),
         )
         prod = max(prod, morrey_norm(uw, MorreyParams(1.2, 1.0)) / morrey_norm(w, MorreyParams(1.5, 1.0)) ** 2)
-    ledger.set("heat_smoothing", heat_sup, "empirical")
-    ledger.set("duhamel_smoothing", grad_sup, "empirical")
-    ledger.set("product_estimate", prod, "empirical")
-    return ledger
+    return ConstantsLedger(
+        heat_smoothing=heat_sup, duhamel_smoothing=grad_sup, product_estimate=prod, provenance="empirical"
+    )

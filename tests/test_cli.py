@@ -56,7 +56,7 @@ class TestSimulate:
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["converged"]
         assert manifest["sweep_count"] <= 10
-        assert manifest["constants"]["heat_smoothing"]["provenance"] == "default"
+        assert "constants" not in manifest
         series = (out / "series.csv").read_text().splitlines()
         assert series[0].startswith("t,omega_l2,j_l2")
         assert len(series) == 1 + len(manifest["config"]["mesh"]["nodes"])
@@ -270,8 +270,8 @@ class TestSimulate:
             ({"tolerances": {"picard_tol": 0}}, "picard_tol must be positive"),
             ({"grid": 5}, "grid must be an object"),
             ({"grid": {"n": 32.5}}, "grid.n must be a whole number"),
-            ({"constants": [1]}, "constants must be an object"),
-            ({"constants": {"heat_smothing": 2.0}}, "'heat_smothing' in constants"),
+            ({"constants": [1]}, "'constants' in the config"),
+            ({"constants": {"heat_smothing": 2.0}}, "'constants' in the config"),
             ({"exponents": {"p": None}}, "exponents.p must be a number"),
             ({"mesh": {"num_nodes": "9"}}, "mesh.num_nodes must be a whole number"),
             ({"mesh": {"quad_order": 2.5}}, "mesh.quad_order must be a whole number"),
@@ -290,6 +290,7 @@ class TestSimulate:
                 {"grid": {"n": 16}, "data": {"family": "gaussian_vortex_ring", "core_width": 0.1}},
                 "data.core_width",
             ),
+            ({"constants": {}}, "'constants' in the config"),
         ],
     )
     def test_rejects_bad_config_before_any_work(self, tmp_path, capsys, monkeypatch, overrides, message):
@@ -408,6 +409,11 @@ class TestNorms:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "Traceback" not in err
         assert "scaling exponent must lie in [0, 3)" in err
+
+    def test_rejects_bad_lambda_before_reading_the_file(self, tmp_path, capsys):
+        assert main(["norms", str(tmp_path / "missing.mhf"), "--exponents", "1:3.5"]) == 1
+        err = capsys.readouterr().err
+        assert err == "error: scaling exponent must lie in [0, 3), got 3.5\n"
 
     def test_rejects_malformed_file(self, tmp_path, capsys):
         bad = tmp_path / "bad.mhf"

@@ -258,13 +258,13 @@ class TestLpNorm:
             lp_norm(f, 0.5)
 
     def test_huge_vector_field_norms_are_finite(self, grid16):
-        # unscaled, the squared components of a 1e160 field overflow to inf.
-        # At p = 1.5 the rounded root 1/p costs about log(sum) ulps of the
-        # result (measured 2e-14), so only the exponents with an exact root
-        # are held to 1e-15
+        # unscaled, the squared components and the p-th powers (p >= 2) of a
+        # 1e160 field overflow to inf. At p = 1.5 and 3 the rounded root 1/p
+        # costs up to about log(sum) ulps of the result (measured 2e-14 at
+        # p = 1.5), so only the exponents with an exact root are held to 1e-15
         unit = solenoidal_vector(grid16, 0)
         huge = VectorField(grid16, 1e160 * unit.values)
-        for p, tol in ((1.0, 1e-15), (math.inf, 1e-15), (1.5, 1e-13)):
+        for p, tol in ((1.0, 1e-15), (math.inf, 1e-15), (1.5, 1e-13), (2.0, 1e-15), (3.0, 1e-13)):
             big = lp_norm(huge, p)
             assert math.isfinite(big) and abs(big - 1e160 * lp_norm(unit, p)) <= tol * big
         for p, lam, tol in ((1.0, 0.0, 1e-15), (1.0, 1.0, 1e-15), (1.5, 1.0, 1e-13)):

@@ -229,9 +229,16 @@ class TestSpecHandling:
             grid32,
         )
         report = initial_size_report(w0, j0, p0=1.5, q0=1.0)
+        assert set(report) == {"omega_m11", "j_m11", "omega_mp0q0", "j_mp0q0"}
         assert report["omega_m11"] > 0
         assert report["j_m11"] == 0.0
         assert report["omega_mp0q0"] > 0
+
+    def test_size_report_names_the_default_scale_once(self, grid32):
+        # (p0, q0) = (1, 1) is the (1, 1) scale itself
+        w0, j0 = generate_initial_data({"family": "single_mode", "amplitude": 1e-3}, grid32)
+        report = initial_size_report(w0, j0)
+        assert set(report) == {"omega_m11", "j_m11"}
 
 
 class TestBoxStudy:
@@ -241,6 +248,7 @@ class TestBoxStudy:
         rows = box_study(spec, g, factors=[2])
         assert rows[0]["factor"] == 1.0 and rows[1]["factor"] == 2.0
         assert rows[1]["n"] == 128
+        assert set(rows[0]) == {"factor", "l", "n", "omega_m11", "j_m11"}
         # same physical object: the localized-mass norm moves little as the box grows
         drift = abs(rows[1]["omega_m11"] - rows[0]["omega_m11"]) / rows[0]["omega_m11"]
         assert drift <= 0.2

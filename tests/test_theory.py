@@ -202,11 +202,10 @@ class TestSmallnessThreshold:
         assert g1 == pytest.approx(0.0058963, abs=1e-6)
 
     def test_inverse_proportionality(self):
-        ledger = ConstantsLedger()
-        ledger.set("heat_smoothing", 2.0)
+        ledger = ConstantsLedger(heat_smoothing=2.0)
+        assert (ledger.duhamel_smoothing, ledger.product_estimate) == (1.0, 1.0)
         assert smallness_threshold(1.5, 1.0, ledger) == pytest.approx(0.0058963 / 2, abs=1e-6)
-        for name in ("duhamel_smoothing", "product_estimate"):
-            ledger.set(name, 2.0)
+        ledger = ConstantsLedger(heat_smoothing=2.0, duhamel_smoothing=2.0, product_estimate=2.0)
         assert smallness_threshold(1.5, 1.0, ledger) == pytest.approx(0.0058963 / 8, abs=1e-6)
 
     def test_rejects_outside_region(self):
@@ -217,21 +216,32 @@ class TestSmallnessThreshold:
 class TestConstantsLedger:
     def test_defaults(self):
         ledger = ConstantsLedger()
-        assert ledger.get("heat_smoothing") == 1.0
-        assert ledger.provenance["heat_smoothing"] == "default"
+        assert ledger.heat_smoothing == 1.0
+        assert ledger.provenance == "default"
 
     def test_set_and_provenance(self):
-        ledger = ConstantsLedger()
-        ledger.set("product_estimate", 0.3, "empirical")
-        entry = ledger.as_dict()["product_estimate"]
-        assert entry == {"value": 0.3, "provenance": "empirical"}
+        ledger = ConstantsLedger(product_estimate=0.3, provenance="empirical")
+        assert (ledger.product_estimate, ledger.provenance) == (0.3, "empirical")
 
     def test_rejects_nonpositive(self):
+        with pytest.raises(ValueError):
+            ConstantsLedger(heat_smoothing=0.0)
+        with pytest.raises(ValueError):
+            ConstantsLedger(product_estimate=-1.0)
+
+    def test_rejects_unknown_gain(self):
+        assert ConstantsLedger(heat_smoothing=2.0).heat_smoothing == 2.0
+        with pytest.raises(TypeError):
+            ConstantsLedger(heat_smothing=2.0)
+
+    def test_rejects_unknown_provenance(self):
+        with pytest.raises(ValueError, match="provenance"):
+            ConstantsLedger(provenance="user")
+
+    def test_is_frozen(self):
         ledger = ConstantsLedger()
-        with pytest.raises(ValueError):
-            ledger.set("heat_smoothing", 0.0)
-        with pytest.raises(ValueError):
-            ConstantsLedger(values={"x": -1.0})
+        with pytest.raises(AttributeError):
+            ledger.heat_smoothing = 2.0
 
 
 class TestVectorIdentities:

@@ -32,11 +32,11 @@ def test_reports_are_json_friendly():
 
 def test_estimated_ledger_marks_provenance():
     ledger = estimated_ledger()
+    assert ledger.provenance == "empirical"
     for name in ("heat_smoothing", "duhamel_smoothing", "product_estimate"):
-        assert ledger.provenance[name] == "empirical"
-        assert 0 < ledger.get(name) < 10
+        assert 0 < getattr(ledger, name) < 10
     default = ConstantsLedger()
-    assert default.provenance["heat_smoothing"] == "default"
+    assert default.provenance == "default"
 
 
 @pytest.mark.parametrize("seed", [10, 100, 349])
