@@ -12,7 +12,9 @@ Subcommands:
   or data is made.  The data spec is read by the config's own schema reader
   and resolved once on the configured grid, into the coupled shape that the
   manifest records.  ``--seed N`` seeds the vorticity with N and the current
-  with N + 1; data with no seeded family rejects it.
+  with N + 1; data with no seeded family rejects it.  :meth:`Experiment.run`
+  computes the run with no I/O; ``simulate`` makes the output directory, runs
+  it and writes what it returns.
 - ``verify {props,identities,recursions,regions,all}``: run a property suite,
   print the JSON verdict; nonzero exit naming the failing checks.
 - ``region p q [p0 q0 [q0_tilde q1]] | --csv file``: membership booleans and
@@ -42,14 +44,14 @@ from .fields import Grid, lp_norm, make_grid
 from .initial_data import (
     _OWN_DEFAULT,
     _read_block,
-    box_study,
-    check_box_study,
     generate_initial_data,
     initial_size_report,
     read_data_spec,
 )
 from .mild import (
     DivergenceError,
+    IterationReport,
+    MhdTrace,
     TimeMesh,
     oracle_step,
     reference_timestepper,
@@ -74,7 +76,6 @@ _BLOCKS = {
     "tolerances": {"picard_tol": (float, 1e-8), "max_sweeps": (int, 50)},
     "sampling": {"stride": (int, _OWN_DEFAULT), "radii_per_octave": (int, _OWN_DEFAULT)},
     "oracle": {"enabled": (bool, False), "dt": (float, None)},
-    "box_study": {"factors": (list, [2])},
 }
 _CONFIG = {
     **{name: (dict, None) for name in _BLOCKS},
@@ -89,8 +90,8 @@ class Experiment:
 
     ``data`` is the data spec as :func:`read_data_spec` resolves it on
     ``grid``; ``exponents`` holds p, q, p0, q0 and ``tolerances`` picard_tol and
-    max_sweeps; ``oracle_dt`` is None when the oracle is off, and
-    ``box_factors`` None when no box study runs.
+    max_sweeps; ``oracle_dt`` is None when the oracle is off.  :meth:`run`
+    computes the run in this process.
     """
 
     grid: Grid
@@ -100,7 +101,6 @@ class Experiment:
     tolerances: dict
     sampling: BallSampling
     oracle_dt: float | None
-    box_factors: tuple[int, ...] | None
     output_dir: Path
 
     @classmethod
@@ -132,6 +132,8 @@ class Experiment:
         if tols["max_sweeps"] < 1:
             raise ValueError(f"max_sweeps must be at least 1, got {tols['max_sweeps']}")
         oracle = block["oracle"]
+        if not oracle["enabled"] and oracle["dt"] is not None:
+            raise ValueError("oracle.dt applies only to an enabled oracle")
 
         data = read_data_spec(top["data"], grid, seed)
         return cls(
@@ -142,17 +144,41 @@ class Experiment:
             tolerances=tols,
             sampling=BallSampling(**block["sampling"]),
             oracle_dt=oracle_step(grid, oracle["dt"]) if oracle["enabled"] else None,
-            box_factors=(
-                None if top["box_study"] is None else check_box_study(data, block["box_study"]["factors"])
-            ),
             output_dir=Path(top["output_dir"]),
         )
 
     def manifest_config(self) -> dict:
         """The manifest's ``config`` block: the grid, the mesh nodes, the data and the numerical settings."""
-        names = ("grid", "mesh", "data", "exponents", "tolerances", "sampling")
+        names = ("grid", "mesh", "data", "exponents", "tolerances", "sampling", "oracle_dt")
         recorded = {name: getattr(self, name) for name in names}
         return {name: asdict(value) if is_dataclass(value) else value for name, value in recorded.items()}
+
+    def run(self) -> "Run":
+        """Generate the data, size it, iterate to the fixed point and run the oracle if it is on; no I/O."""
+        p, q = self.exponents["p"], self.exponents["q"]
+        w0, j0 = generate_initial_data(self.data, self.grid)
+        sizes = initial_size_report(w0, j0, self.sampling, p0=self.exponents["p0"], q0=self.exponents["q0"])
+        trace, report = run_picard(
+            w0, j0, self.mesh, tol=self.tolerances["picard_tol"], max_sweeps=self.tolerances["max_sweeps"],
+            p=p, q=q, sampling=self.sampling,
+        )
+        oracle_distance = None
+        if self.oracle_dt is not None:
+            oracle_distance = trace_distance(reference_timestepper(w0, j0, self.mesh, dt=self.oracle_dt), trace)
+        # the last seminorms belong to the returned trace; none if the first sweep diverged
+        sem = next((s.seminorms for s in reversed(report.sweeps) if s.seminorms), None)
+        return Run(sizes, trace, report, sem or weighted_seminorms(trace, p, q, self.sampling), oracle_distance)
+
+
+@dataclass(frozen=True)
+class Run:
+    """What :meth:`Experiment.run` computes; ``seminorms`` are ``trace``'s, ``oracle_distance`` None if no oracle."""
+
+    sizes: dict[str, float]
+    trace: MhdTrace
+    report: IterationReport
+    seminorms: WeightedSeminorms
+    oracle_distance: float | None
 
 
 def _float_cell(x: float) -> str:
@@ -173,39 +199,20 @@ def _series_csv(nodes, omega, current, sem: WeightedSeminorms, p: float, q: floa
     return buf.getvalue()
 
 
-def _cmd_simulate(args) -> int:
-    exp = Experiment.from_config(json.loads(Path(args.config).read_text(encoding="utf-8")), args.seed)
-    p, q = exp.exponents["p"], exp.exponents["q"]
+def _write_run(exp: Experiment, run: Run) -> None:
+    """Write series.csv, the snapshots and manifest.json to ``exp.output_dir``; raise first if a node is not finite."""
     out_dir = exp.output_dir
-    out_dir.mkdir(parents=True, exist_ok=True)
-
-    w0, j0 = generate_initial_data(exp.data, exp.grid)
-    sizes = initial_size_report(w0, j0, exp.sampling, p0=exp.exponents["p0"], q0=exp.exponents["q0"])
-    box_report = None
-    if exp.box_factors is not None:
-        box_report = box_study(exp.data, exp.grid, exp.box_factors, exp.sampling)
-
-    trace, report = run_picard(
-        w0, j0, exp.mesh, tol=exp.tolerances["picard_tol"], max_sweeps=exp.tolerances["max_sweeps"],
-        p=p, q=q, sampling=exp.sampling,
-    )
-
-    oracle = None if exp.oracle_dt is None else reference_timestepper(w0, j0, exp.mesh, dt=exp.oracle_dt)
-    oracle_distance = None if oracle is None else trace_distance(oracle, trace)
-
-    # the last seminorms belong to the returned trace; none if the first sweep diverged
-    sem = next((s.seminorms for s in reversed(report.sweeps) if s.seminorms), None)
-    sem = sem or weighted_seminorms(trace, p, q, exp.sampling)
-    omega, current = trace.omega, trace.current
-    series = _series_csv(exp.mesh.nodes, omega, current, sem, p, q)
+    omega, current = run.trace.omega, run.trace.current
+    series = _series_csv(exp.mesh.nodes, omega, current, run.seminorms, exp.exponents["p"], exp.exponents["q"])
     (out_dir / "series.csv").write_text(series, encoding="utf-8")
     for m, (w, j) in enumerate(zip(omega, current)):
         write_field(out_dir / f"omega_{m:04d}.mhf", w)
         write_field(out_dir / f"current_{m:04d}.mhf", j)
 
+    report = run.report
     manifest = {
         "config": exp.manifest_config(),
-        "initial_norms": sizes,
+        "initial_norms": run.sizes,
         "converged": report.converged,
         "stop": report.stop,
         "sweep_count": report.sweep_count,
@@ -219,17 +226,24 @@ def _cmd_simulate(args) -> int:
             }
             for s in report.sweeps
         ],
-        "oracle_distance": oracle_distance,
-        "box_study": box_report,
+        "oracle_distance": run.oracle_distance,
         "timestamp": time.time(),
     }
     (out_dir / "manifest.json").write_text(
         json.dumps(manifest, indent=1, sort_keys=True) + "\n", encoding="utf-8"
     )
+
+
+def _cmd_simulate(args) -> int:
+    exp = Experiment.from_config(json.loads(Path(args.config).read_text(encoding="utf-8")), args.seed)
+    exp.output_dir.mkdir(parents=True, exist_ok=True)
+    run = exp.run()
+    _write_run(exp, run)
+    report = run.report
     if not report.converged:
-        print(f"{report.reason}; outputs in {out_dir}", file=sys.stderr)
+        print(f"{report.reason}; outputs in {exp.output_dir}", file=sys.stderr)
         return 2
-    print(f"{report.reason}; outputs in {out_dir}")
+    print(f"{report.reason}; outputs in {exp.output_dir}")
     return 0
 
 

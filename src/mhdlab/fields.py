@@ -345,6 +345,7 @@ def lp_norm(f: Field, p: float) -> float:
 
     ``p = inf`` returns the max magnitude.  Values of ``p`` below 1 are
     rejected.  When the power sum overflows while the magnitudes are finite,
+    or falls below the smallest normal number while they are not all zero,
     it is redone on the magnitudes scaled by a power of two that takes the
     largest below 1, and the root is scaled back.
     """
@@ -356,7 +357,7 @@ def lp_norm(f: Field, p: float) -> float:
     h3 = f.grid.spacing**3
     with np.errstate(over="ignore"):
         total = np.sum(mag**p) * h3
-    if total == math.inf and math.isfinite(peak := float(mag.max())):
+    if (total == math.inf or total < np.finfo(float).tiny) and 0.0 < (peak := float(mag.max())) < math.inf:
         _, e = math.frexp(peak)
         return math.ldexp(float((np.sum(np.ldexp(mag, -e) ** p) * h3) ** (1.0 / p)), e)
     return float(total ** (1.0 / p))

@@ -266,37 +266,3 @@ def initial_size_report(
         out[f"omega_{tag}"] = morrey_norm(w0, mp, sampling)
         out[f"j_{tag}"] = morrey_norm(j0, mp, sampling)
     return out
-
-
-def check_box_study(spec: dict, factors) -> tuple[int, ...]:
-    """The box factors as ints, once the read ``spec`` is localized and every factor a whole power of two."""
-    if any(sub["family"] not in ("gaussian_vortex_ring", "zero") for sub in spec.values()):
-        raise ValueError("box study needs localized data (gaussian_vortex_ring)")
-    if not isinstance(factors, (list, tuple)) or not all(
-        isinstance(f, (int, float)) and not isinstance(f, bool) and f >= 1 and float(f).is_integer()
-        and not int(f) & (int(f) - 1)
-        for f in factors
-    ):
-        raise ValueError(f"box factors must be whole powers of two (grid sizes stay so), got {factors!r}")
-    return tuple(int(f) for f in factors)
-
-
-def box_study(spec: dict, grid: Grid, factors=(2,), sampling: BallSampling = BallSampling()) -> list[dict]:
-    """Convergence-in-box-size diagnostic for localized data.
-
-    Regenerates the data read on ``grid`` (default ring sizes included) on
-    boxes enlarged by each (power of two) factor, with the grid refined in step
-    so the spacing stays fixed, and reports the localized-mass norms;
-    stabilization under enlargement means the box is big enough for the norm
-    suprema.  Only meaningful for families with absolute length scales (the
-    vortex ring); periodic families are tied to the box.
-    """
-    spec = read_data_spec(spec, grid)
-    out = []
-    for factor in (1, *check_box_study(spec, factors)):
-        big = Grid(grid.n * factor, grid.l * factor)
-        w0, j0 = generate_initial_data(spec, big)
-        entry = {"factor": float(factor), "l": big.l, "n": big.n}
-        entry.update(initial_size_report(w0, j0, sampling))
-        out.append(entry)
-    return out

@@ -106,23 +106,32 @@ def _candidates(grid: Grid, mags: np.ndarray, mp: MorreyParams, sampling: BallSa
 
     ``mags`` stacks magnitude arrays along its first axis.  The candidates
     come radius by radius, one per array in stack order; one forward
-    transform covers the stack and each radius takes one inverse.
+    transform covers the stack and each radius takes one inverse.  An array
+    whose power sum falls below the smallest normal number while it is not
+    all zero is redone scaled by a power of two that takes its largest
+    magnitude below 1, and its candidates are scaled back.
     """
-    g = mags ** mp.p * grid.spacing**3
+    h3 = grid.spacing**3
+    g = mags ** mp.p * h3
+    # frexp(0) is (0, 0): an all-zero array keeps its shift of 0
+    shifts = [math.frexp(float(m.max()))[1] if gi.sum() < np.finfo(float).tiny else 0 for m, gi in zip(mags, g)]
+    for i, e in enumerate(shifts):
+        if e:
+            g[i] = np.ldexp(mags[i], -e) ** mp.p * h3
     del mags  # the generator's frame would keep it alive through the radius loop
     ghat = _sfft.rfftn(g, axes=(-3, -2, -1))
     st = sampling.stride
     for r in sampling.radii(grid):
         kern, _ = _ball_kernel(grid.n, grid.l, r)
         mass = _sfft.irfftn(ghat * kern, s=g.shape[1:], axes=(-3, -2, -1))
-        for sub in np.maximum(mass[:, ::st, ::st, ::st], 0.0):
+        for sub, e in zip(np.maximum(mass[:, ::st, ::st, ::st], 0.0), shifts):
             idx = np.unravel_index(np.argmax(sub), sub.shape)
             val = r ** (-mp.lam / mp.p) * sub[idx] ** (1.0 / mp.p)
-            yield float(val), tuple(st * i for i in idx), r
+            yield math.ldexp(val, e), tuple(st * i for i in idx), r
     if mp.lam == 0.0:
         # sup over arbitrarily large radii degenerates to the global integral
-        for gi in g:
-            yield float(gi.sum() ** (1.0 / mp.p)), None, math.inf
+        for gi, e in zip(g, shifts):
+            yield math.ldexp(gi.sum() ** (1.0 / mp.p), e), None, math.inf
 
 
 def morrey_norm(f: Field, mp: MorreyParams, sampling: BallSampling = BallSampling()) -> float:

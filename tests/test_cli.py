@@ -24,10 +24,6 @@ from mhdlab.morrey import MorreyParams, morrey_norm
 from .oracles import fine_radii, morrey_direct
 
 
-#: a vortex ring that a 64-point grid on [0, 2 pi) resolves
-RING = {"family": "gaussian_vortex_ring", "radius": 0.6, "core_width": 0.4, "amplitude": 1e-3}
-
-
 def _config(tmp_path, **overrides):
     cfg = {
         "grid": {"n": 32, "l": 2 * math.pi},
@@ -57,6 +53,7 @@ class TestSimulate:
         assert manifest["converged"]
         assert manifest["sweep_count"] <= 10
         assert "constants" not in manifest
+        assert manifest["config"]["oracle_dt"] is None and manifest["oracle_distance"] is None
         series = (out / "series.csv").read_text().splitlines()
         assert series[0].startswith("t,omega_l2,j_l2")
         assert len(series) == 1 + len(manifest["config"]["mesh"]["nodes"])
@@ -243,21 +240,6 @@ class TestSimulate:
             err = capsys.readouterr().err
             assert err.startswith("error: ") and message in err and "Traceback" not in err
 
-    def test_box_study_default_factors(self, tmp_path, capsys, monkeypatch):
-        # a box_study block without factors studies the box doubled
-        seen = []
-
-        def fake_box_study(spec, grid, factors, sampling):
-            seen.append(factors)
-            raise ValueError("stop after the box study")
-
-        monkeypatch.setattr(cli, "box_study", fake_box_study)
-        monkeypatch.setattr(cli, "initial_size_report", lambda *args, **kwargs: {})
-        path, _ = _config(tmp_path, grid={"n": 64, "l": 2 * math.pi}, data=RING, box_study={})
-        assert main(["simulate", "--config", str(path)]) == 1
-        assert seen == [(2,)]
-        assert "stop after the box study" in capsys.readouterr().err
-
     @pytest.mark.parametrize(
         "overrides, message",
         [
@@ -278,9 +260,9 @@ class TestSimulate:
             ({"mesh": {"ratio": 2.0}}, "mesh.ratio applies only to graded spacing"),
             ({"sampling": {"stride": 1.5}}, "sampling.stride must be a whole number"),
             ({"sampling": {"radii_per_octave": True}}, "sampling.radii_per_octave must be a whole number"),
-            ({"grid": {"n": 64}, "data": RING, "box_study": {"factors": [3]}}, "powers of two"),
-            ({"data": RING, "box_study": {"factors": 2}}, "box_study.factors must be a list"),
-            ({"box_study": {}}, "box study needs localized data"),
+            ({"box_study": {}}, "'box_study' in the config"),
+            ({"oracle": {"enabled": False, "dt": -5.0}}, "oracle.dt applies only to an enabled oracle"),
+            ({"oracle": {"dt": 1e9}}, "oracle.dt applies only to an enabled oracle"),
             ({"output": "elsewhere"}, "'output'"),
             ({"data": {"family": "single_mode", "component": 4}}, "data.component"),
             ({"data": {"family": "random_divfree", "seed": -1}}, "data.seed"),
@@ -322,11 +304,44 @@ class TestSimulate:
         assert main(["simulate", "--config", str(path)]) == 1
         assert "region check" in capsys.readouterr().err
 
-    def test_unwritable_output_path(self, tmp_path, capsys):
+    def test_unwritable_output_path(self, tmp_path, capsys, monkeypatch):
         blocker = tmp_path / "blocker"
         blocker.write_text("a file, not a directory")
         path, _ = _config(tmp_path, output_dir=str(blocker / "out"))
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("the solve ran before the output directory was made")
+
+        monkeypatch.setattr(cli, "run_picard", forbidden)
         assert main(["simulate", "--config", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "Traceback" not in err
+
+    def test_run_writes_nothing_and_matches_the_manifest(self, tmp_path, monkeypatch):
+        # Experiment.run computes in this process; simulate writes what it returns
+        path, cfg = _config(
+            tmp_path,
+            grid={"n": 16, "l": 2 * math.pi},
+            mesh={"horizon": 0.25, "num_nodes": 5, "spacing": "uniform"},
+            data={
+                "omega": {"family": "random_divfree", "seed": 3, "cutoff": 4, "amplitude": 0.5},
+                "j": {"family": "random_divfree", "seed": 4, "cutoff": 4, "amplitude": 0.5},
+            },
+            oracle={"enabled": True},
+            output_dir="out",
+        )
+        monkeypatch.chdir(tmp_path)
+        exp = cli.Experiment.from_config(cfg)
+        before = sorted(tmp_path.rglob("*"))
+        run = exp.run()
+        assert sorted(tmp_path.rglob("*")) == before
+        assert main(["simulate", "--config", str(path)]) == 0
+        manifest = json.loads((tmp_path / "out" / "manifest.json").read_text())
+        assert run.sizes == manifest["initial_norms"]
+        assert run.report.stop == manifest["stop"] == "converged"
+        assert list(run.report.deltas) == [s["delta"] for s in manifest["sweeps"]]
+        assert run.oracle_distance == manifest["oracle_distance"] and run.oracle_distance > 0
+        assert manifest["config"]["oracle_dt"] == exp.oracle_dt == 1.0 / 75
 
     def test_missing_config(self, tmp_path, capsys):
         assert main(["simulate", "--config", str(tmp_path / "nope.json")]) == 1

@@ -261,15 +261,25 @@ class TestLpNorm:
         # unscaled, the squared components and the p-th powers (p >= 2) of a
         # 1e160 field overflow to inf. At p = 1.5 and 3 the rounded root 1/p
         # costs up to about log(sum) ulps of the result (measured 2e-14 at
-        # p = 1.5), so only the exponents with an exact root are held to 1e-15
+        # p = 1.5), so only the exponents with an exact root are held to 1e-15.
+        # Unscaled, the p-th powers (p >= 2) of a 1e-170 field underflow to 0
         unit = solenoidal_vector(grid16, 0)
-        huge = VectorField(grid16, 1e160 * unit.values)
-        for p, tol in ((1.0, 1e-15), (math.inf, 1e-15), (1.5, 1e-13), (2.0, 1e-15), (3.0, 1e-13)):
-            big = lp_norm(huge, p)
-            assert math.isfinite(big) and abs(big - 1e160 * lp_norm(unit, p)) <= tol * big
-        for p, lam, tol in ((1.0, 0.0, 1e-15), (1.0, 1.0, 1e-15), (1.5, 1.0, 1e-13)):
-            big = morrey_norm(huge, MorreyParams(p, lam))
-            assert math.isfinite(big) and abs(big - 1e160 * morrey_norm(unit, MorreyParams(p, lam))) <= tol * big
+        lp_cases = ((1.0, 1e-15), (math.inf, 1e-15), (1.5, 1e-13), (2.0, 1e-15), (3.0, 1e-13))
+        morrey_cases = {
+            1e160: ((1.0, 0.0, 1e-15), (1.0, 1.0, 1e-15), (1.5, 1.0, 1e-13)),
+            1e-170: (
+                (1.0, 0.0, 1e-15), (1.5, 1.0, 1e-13), (2.0, 0.0, 1e-15), (2.0, 1.0, 1e-15), (3.0, 2.0, 1e-13),
+            ),
+        }
+        for scale, cases in morrey_cases.items():
+            huge = VectorField(grid16, scale * unit.values)
+            for p, tol in lp_cases:
+                big = lp_norm(huge, p)
+                assert math.isfinite(big) and abs(big - scale * lp_norm(unit, p)) <= tol * big
+            for p, lam, tol in cases:
+                big = morrey_norm(huge, MorreyParams(p, lam))
+                want = scale * morrey_norm(unit, MorreyParams(p, lam))
+                assert math.isfinite(big) and abs(big - want) <= tol * big
 
 
 class TestFieldFile:

@@ -3,10 +3,9 @@
 import numpy as np
 import pytest
 
-from mhdlab import initial_data
-from mhdlab.fields import divergence, lp_norm, make_grid
+from mhdlab.cli import Experiment
+from mhdlab.fields import Grid, divergence, lp_norm, make_grid
 from mhdlab.initial_data import (
-    box_study,
     generate_initial_data,
     initial_size_report,
     read_data_spec,
@@ -242,34 +241,25 @@ class TestSpecHandling:
 
 
 class TestBoxStudy:
+    """The box study: the data read on the base grid, generated on boxes enlarged at a fixed spacing."""
+
+    @staticmethod
+    def _sizes(data):
+        exp = Experiment.from_config({"grid": {"n": 64, "l": 2 * np.pi}, "data": data})
+        grids = [Grid(exp.grid.n * f, exp.grid.l * f) for f in (1, 2)]
+        return [initial_size_report(*generate_initial_data(exp.data, g), exp.sampling) for g in grids]
+
     def test_ring_norms_stabilize(self):
-        g = make_grid(64, 2 * np.pi)
         spec = {"family": "gaussian_vortex_ring", "radius": 0.6, "core_width": 0.4, "amplitude": 1e-3}
-        rows = box_study(spec, g, factors=[2])
-        assert rows[0]["factor"] == 1.0 and rows[1]["factor"] == 2.0
-        assert rows[1]["n"] == 128
-        assert set(rows[0]) == {"factor", "l", "n", "omega_m11", "j_m11"}
+        base, doubled = self._sizes(spec)
+        assert set(base) == {"omega_m11", "j_m11"}
         # same physical object: the localized-mass norm moves little as the box grows
-        drift = abs(rows[1]["omega_m11"] - rows[0]["omega_m11"]) / rows[0]["omega_m11"]
+        drift = abs(doubled["omega_m11"] - base["omega_m11"]) / base["omega_m11"]
         assert drift <= 0.2
-
-    def test_rejects_box_locked_families(self, grid32):
-        with pytest.raises(ValueError, match="localized"):
-            box_study({"family": "single_mode"}, grid32, factors=[2.0])
-
-    @pytest.mark.parametrize("factors", [[1.5, 2.0], [2, 3], [0]])
-    def test_rejects_bad_factors_before_generating(self, grid64, monkeypatch, factors):
-        def forbidden(*args, **kwargs):
-            raise AssertionError("data generated before the factors were checked")
-
-        monkeypatch.setattr(initial_data, "generate_initial_data", forbidden)
-        spec = {"family": "gaussian_vortex_ring", "radius": 0.6, "core_width": 0.4}
-        with pytest.raises(ValueError, match="powers of two"):
-            box_study(spec, grid64, factors=factors)
 
     def test_default_ring_keeps_its_physical_size(self, grid64):
         # the default radius l/10 and core l/16 are those of the base box, not of the enlarged one
         written = {"family": "gaussian_vortex_ring", "radius": grid64.l / 10, "core_width": grid64.l / 16}
-        rows = box_study({"family": "gaussian_vortex_ring"}, grid64, factors=[2])
-        assert rows == box_study(written, grid64, factors=[2])
+        rows = self._sizes({"family": "gaussian_vortex_ring"})
+        assert rows == self._sizes(written)
         assert rows[1]["omega_m11"] == pytest.approx(rows[0]["omega_m11"], rel=0.01)
