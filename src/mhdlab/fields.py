@@ -13,6 +13,12 @@ from ``c(-k) == conj(c(k))``.  The public :class:`SpectralField`
 (``to_spectral``, ``to_physical``, ``dealias``) is a typed wrapper of the same
 half spectrum.
 
+Band-limited state, such as a stored trace, is kept on the 2/3-rule cube
+``|k_i| <= n // 3`` alone, of shape ``(..., 2c+1, 2c+1, c+1)`` with
+``c = n // 3``: :func:`_to_cube` copies it out of a half spectrum,
+:func:`_from_cube` expands it into a zeroed one, and :func:`_cube_tables`
+holds the wavevector tables on it.
+
 Every transform runs on one FFT worker.  Work that is independent per time
 node runs on :func:`node_map`, whose thread count ``MHDLAB_THREADS`` sets.
 """
@@ -160,6 +166,56 @@ def _spectral_tables(n: int, l: float):
 
 def _tables(grid: Grid):
     return _spectral_tables(grid.n, grid.l)
+
+
+def _cube_slabs(n: int):
+    """The four corner slabs of the 2/3-rule cube, as (cube index, half-spectrum index) pairs.
+
+    Axes 0 and 1 of the cube hold the wavenumbers ``0..c`` then ``-c..-1``
+    (``c = n // 3``), the last axis ``0..c``.
+    """
+    c = n // 3
+    axes = ((slice(0, c + 1), slice(0, c + 1)), (slice(c + 1, 2 * c + 1), slice(n - c, n)))
+    last = slice(0, c + 1)
+    return [((..., q0, q1, last), (..., h0, h1, last)) for q0, h0 in axes for q1, h1 in axes]
+
+
+def _to_cube(hat: np.ndarray) -> np.ndarray:
+    """The modes of a half spectrum (or of a table on the half grid) inside the 2/3-rule cube.
+
+    The result has shape ``(..., 2c+1, 2c+1, c+1)`` with ``c = n // 3``.
+    """
+    n = hat.shape[-2]
+    c = n // 3
+    out = np.empty(hat.shape[:-3] + (2 * c + 1, 2 * c + 1, c + 1), dtype=hat.dtype)
+    for q, h in _cube_slabs(n):
+        out[q] = hat[h]
+    return out
+
+
+def _from_cube(cube: np.ndarray, n: int) -> np.ndarray:
+    """The half spectrum on ``n`` points per axis that holds ``cube`` and is zero outside it."""
+    hat = np.zeros(cube.shape[:-3] + (n, n, n // 2 + 1), dtype=cube.dtype)
+    for q, h in _cube_slabs(n):
+        hat[h] = cube[q]
+    return hat
+
+
+@lru_cache(maxsize=32)
+def _spectral_cube_tables(n: int, l: float):
+    """``kd``, ``k2`` and ``inv_k2d`` of :func:`_spectral_tables`, on the 2/3-rule cube.
+
+    The cube holds no Nyquist mode, so ``kd`` there is the plain wavevector.
+    """
+    half = _spectral_tables(n, l)
+    out = {key: _to_cube(half[key]) for key in ("kd", "k2", "inv_k2d")}
+    for arr in out.values():
+        arr.setflags(write=False)
+    return out
+
+
+def _cube_tables(grid: Grid):
+    return _spectral_cube_tables(grid.n, grid.l)
 
 
 def _dealias_hat(hat: np.ndarray, grid: Grid) -> np.ndarray:

@@ -73,9 +73,11 @@ def _require_solenoidal(values: np.ndarray, vh: np.ndarray, grid, what: str) -> 
         raise ValueError(f"{what} must have zero mean, got component means {means}")
 
 
-def _biot_savart_hat(wh: np.ndarray, grid) -> np.ndarray:
-    """Spectral curl inversion ``i k x w_hat / |k|^2`` with the mean mode pinned to zero."""
-    tab = _tables(grid)
+def _biot_savart_hat(wh: np.ndarray, tab) -> np.ndarray:
+    """Spectral curl inversion ``i k x w_hat / |k|^2`` with the mean mode pinned to zero.
+
+    ``tab`` holds the wavevector tables (``kd``, ``inv_k2d``) of the layout ``wh`` is on.
+    """
     return _curl_hat(wh * tab["inv_k2d"][None], tab["kd"])
 
 
@@ -88,7 +90,7 @@ def biot_savart(w: VectorField) -> VectorField:
     """
     wh = _fwd(w.values)
     _require_solenoidal(w.values, wh, w.grid, "biot_savart input")
-    return VectorField(w.grid, _inv(_biot_savart_hat(wh, w.grid)))
+    return VectorField(w.grid, _inv(_biot_savart_hat(wh, _tables(w.grid))))
 
 
 def riesz_potential(f: ScalarField, delta: float) -> ScalarField:

@@ -2,15 +2,20 @@
 and an independent integrating-factor time stepper.
 
 The evolved pair is (vorticity, current density).  A trace holds only their
-real-FFT half spectra at every time node; the physical fields are formed on
-demand, and velocity and magnetic field are curl inversions formed where the
-forcing needs them.  The fixed-point sweep updates the whole trajectory at
+spectra inside the 2/3-rule cube ``|k_i| <= n // 3`` at every time node; the
+physical fields are formed on demand, by expanding a node into its zeroed
+real-FFT half spectrum (:func:`~mhdlab.fields._from_cube`) and one inverse
+transform, and velocity and magnetic field are curl inversions formed where
+the forcing needs them.  The fixed-point sweep updates the whole trajectory at
 once: each new iterate is the heat flow of the initial data minus the
 time-convolved nonlinear forcing of the previous iterate.  Nonlinear products
 are formed in physical space and dealiased by the 2/3 rule before
-differentiation, so iterates of band-limited data stay exactly band-limited.
+differentiation, by keeping only the cube of their spectra, and the heat flow
+acts mode by mode, so iterates of data resolved on the cube stay on it
+exactly.  Each datum is checked to be resolved there up to round-off, and
+projected onto the cube once.
 
-A sweep stays in spectral space and costs O(M) in the number of nodes.  One
+A sweep stays on the cube and costs O(M) in the number of nodes.  One
 recursion advances the Duhamel integral node by node,
 ``acc_m = E(h) acc_{m-1} + A(h) F_{m-1} + B(h) F_m``: ``E(h)`` is the heat
 multiplier of the step ``h = t_m - t_{m-1}`` and ``A(h)``, ``B(h)`` fold the
@@ -50,13 +55,15 @@ from .fields import (
     Grid,
     ScalarField,
     VectorField,
+    _cube_tables,
     _curl_hat,
-    _dealias_hat,
     _dealias_values,
+    _from_cube,
     _fwd,
     _inv,
     _same_grid,
     _tables,
+    _to_cube,
     node_map,
 )
 from .kernels import _biot_savart_hat, _require_solenoidal
@@ -108,14 +115,21 @@ class TimeMesh:
 
 @dataclass(frozen=True)
 class MhdTrace:
-    """Vorticity and current at every mesh node, held as real-FFT half spectra.
+    """Vorticity and current at every mesh node, held on the 2/3-rule cube of their spectra.
 
     ``spectra[0, m]`` is the vorticity spectrum and ``spectra[1, m]`` the
-    current spectrum at node ``m``, each of shape ``(3, n, n, n//2 + 1)``;
-    the block is read-only.  Node 0 holds the initial data, from which
-    :func:`picard_sweep` starts.  The physical fields :attr:`omega` and
-    :attr:`current` are formed on each access, one inverse transform per
-    node; velocity and magnetic field are their ``biot_savart`` images.
+    current spectrum at node ``m``, each of shape ``(3, 2c+1, 2c+1, c+1)``
+    with ``c = n // 3``: the modes ``|k_i| <= c`` of the real-FFT half
+    spectrum, axes 0 and 1 holding the wavenumbers ``0..c`` then ``-c..-1``
+    and the last axis ``0..c`` (the layout of :func:`~mhdlab.fields._to_cube`).
+    Every trace is zero outside that cube, so only the cube is stored;
+    :func:`~mhdlab.fields._from_cube` expands a node into its half spectrum.
+    ``spectra`` is a read-only view: the array passed in stays as writeable as
+    it was, and is not copied when it is already complex128.  Node 0 holds
+    the initial data, from which :func:`picard_sweep` starts.  The physical
+    fields :attr:`omega` and :attr:`current` are formed on each access, one
+    inverse transform per node; velocity and magnetic field are their
+    ``biot_savart`` images.
     """
 
     mesh: TimeMesh
@@ -123,9 +137,9 @@ class MhdTrace:
     spectra: np.ndarray
 
     def __post_init__(self) -> None:
-        n = self.grid.n
-        shape = (2, len(self.mesh.nodes), 3, n, n, n // 2 + 1)
-        spectra = np.asarray(self.spectra, dtype=np.complex128)
+        c = self.grid.n // 3
+        shape = (2, len(self.mesh.nodes), 3, 2 * c + 1, 2 * c + 1, c + 1)
+        spectra = np.asarray(self.spectra, dtype=np.complex128).view()
         if spectra.shape != shape:
             raise ValueError(f"spectra must have shape {shape}: one vorticity and current per mesh node")
         spectra.setflags(write=False)
@@ -143,8 +157,8 @@ class MhdTrace:
 
     def _fields(self, which: int, what: str) -> tuple[VectorField, ...]:
         out = []
-        for t, hat in zip(self.mesh.nodes, self.spectra[which]):
-            values = _inv(hat)
+        for t, cube in zip(self.mesh.nodes, self.spectra[which]):
+            values = _inv(_from_cube(cube, self.grid.n))
             _require_finite(f"{what} at t = {t}", values)
             out.append(VectorField(self.grid, values))
         return tuple(out)
@@ -152,7 +166,8 @@ class MhdTrace:
     def validate(self) -> None:
         """Check the stored spectra: every vorticity and current node finite, divergence-free and mean-free."""
         for which, name in enumerate(("omega", "current")):
-            for m, (t, hat) in enumerate(zip(self.mesh.nodes, self.spectra[which])):
+            for m, (t, cube) in enumerate(zip(self.mesh.nodes, self.spectra[which])):
+                hat = _from_cube(cube, self.grid.n)
                 values = _inv(hat)
                 _require_finite(f"{name} at t = {t}", values)
                 _require_solenoidal(values, hat, self.grid, f"node {m}: {name}")
@@ -216,7 +231,7 @@ class IterationReport:
 
 
 def _flux_hat(u: np.ndarray, w: np.ndarray, b: np.ndarray, j: np.ndarray, grid: Grid) -> np.ndarray:
-    """Spectral divergence of the dealiased antisymmetric transport tensor.
+    """Spectral divergence of the dealiased antisymmetric transport tensor, on the 2/3-rule cube.
 
     The tensor is ``T[i, m] = u_i w_m - u_m w_i - b_i j_m + b_m j_i``; only the
     three independent entries are formed, so the antisymmetry (and hence the
@@ -225,8 +240,8 @@ def _flux_hat(u: np.ndarray, w: np.ndarray, b: np.ndarray, j: np.ndarray, grid: 
     t01 = u[0] * w[1] - u[1] * w[0] - b[0] * j[1] + b[1] * j[0]
     t02 = u[0] * w[2] - u[2] * w[0] - b[0] * j[2] + b[2] * j[0]
     t12 = u[1] * w[2] - u[2] * w[1] - b[1] * j[2] + b[2] * j[1]
-    h01, h02, h12 = (_dealias_hat(_fwd(t), grid) for t in (t01, t02, t12))
-    kd = _tables(grid)["kd"]
+    h01, h02, h12 = (_to_cube(_fwd(t)) for t in (t01, t02, t12))
+    kd = _cube_tables(grid)["kd"]
     return 1j * np.stack(
         [
             -kd[1] * h01 - kd[2] * h02,
@@ -251,15 +266,17 @@ def _advective_difference(u: np.ndarray, b: np.ndarray, grid: Grid) -> np.ndarra
 
 
 def _source_hat(u: np.ndarray, b: np.ndarray, grid: Grid) -> np.ndarray:
-    """Spectral ``-curl curl`` of the dealiased cross product ``u x b``."""
+    """Spectral ``-curl curl`` of the dealiased cross product ``u x b``, on the 2/3-rule cube."""
     cross = np.stack([u[1] * b[2] - u[2] * b[1], u[2] * b[0] - u[0] * b[2], u[0] * b[1] - u[1] * b[0]])
-    kd = _tables(grid)["kd"]
-    return -_curl_hat(_curl_hat(_dealias_hat(_fwd(cross), grid), kd), kd)
+    kd = _cube_tables(grid)["kd"]
+    return -_curl_hat(_curl_hat(_to_cube(_fwd(cross)), kd), kd)
 
 
 def _forcing_hats(wh: np.ndarray, jh: np.ndarray, grid: Grid) -> tuple[np.ndarray, np.ndarray]:
-    """Flux and current-source spectra of one node, from its vorticity and current spectra."""
-    u, w, b, j = (_inv(h) for h in (_biot_savart_hat(wh, grid), wh, _biot_savart_hat(jh, grid), jh))
+    """Flux and current-source cubes of one node, from its vorticity and current cubes."""
+    tab = _cube_tables(grid)
+    cubes = (_biot_savart_hat(wh, tab), wh, _biot_savart_hat(jh, tab), jh)
+    u, w, b, j = (_inv(_from_cube(h, grid.n)) for h in cubes)
     return _flux_hat(u, w, b, j, grid), _source_hat(u, b, grid)
 
 
@@ -271,7 +288,8 @@ def vorticity_flux(u: VectorField, w: VectorField, b: VectorField, j: VectorFiel
     divergence-free to round-off.
     """
     grid = _same_grid(u, w, b, j)
-    return VectorField(grid, _inv(_flux_hat(u.values, w.values, b.values, j.values, grid)))
+    flux = _flux_hat(u.values, w.values, b.values, j.values, grid)
+    return VectorField(grid, _inv(_from_cube(flux, grid.n)))
 
 
 def current_source(u: VectorField, b: VectorField) -> VectorField:
@@ -282,7 +300,7 @@ def current_source(u: VectorField, b: VectorField) -> VectorField:
     oracle is ``curl(stretching_form(u, b, 0, 0))``).
     """
     grid = _same_grid(u, b)
-    return VectorField(grid, _inv(_source_hat(u.values, b.values, grid)))
+    return VectorField(grid, _inv(_from_cube(_source_hat(u.values, b.values, grid), grid.n)))
 
 
 def stretching_form(u: VectorField, w: VectorField, b: VectorField, j: VectorField) -> VectorField:
@@ -316,15 +334,15 @@ def _step_multipliers(k2: np.ndarray, h: float, quad_order: int):
     return np.exp(-h * k2), a, b
 
 
-def _duhamel(hats, mesh: TimeMesh, grid: Grid):
+def _duhamel(hats, mesh: TimeMesh, k2: np.ndarray):
     """Yield the spectral Duhamel integral ``acc_m`` of the forcing spectra ``hats``, node by node.
 
-    A node's forcing is an array or a tuple of equal arrays.  Each step is
-    ``acc <- E acc + A f_prev + B f_next``, taken one leading component at a
-    time so the temporaries stay one component large; the same array is
-    yielded every time, updated in place.
+    ``k2`` is the ``|k|**2`` table of the layout the spectra are on (half
+    spectrum or cube).  A node's forcing is an array or a tuple of equal
+    arrays.  Each step is ``acc <- E acc + A f_prev + B f_next``, taken one
+    leading component at a time so the temporaries stay one component large;
+    the same array is yielded every time, updated in place.
     """
-    k2 = _tables(grid)["k2"]
     for m, force in enumerate(hats):
         if m == 0:
             acc = np.zeros_like(force)
@@ -348,7 +366,7 @@ def duhamel_integral(forcings, mesh: TimeMesh, t: float) -> VectorField:
     if len(forcings) <= m:
         raise ValueError(f"need a forcing at every node up to t = {t}, got {len(forcings)}")
     grid = _same_grid(*forcings)
-    *_, acc = _duhamel((_fwd(f.values) for f in forcings[: m + 1]), mesh, grid)
+    *_, acc = _duhamel((_fwd(f.values) for f in forcings[: m + 1]), mesh, _tables(grid)["k2"])
     return VectorField(grid, _inv(acc))
 
 
@@ -362,18 +380,39 @@ def _require_finite(what: str, *values) -> None:
             raise DivergenceError(f"{what} is not finite: the iterates diverged")
 
 
-def _datum_spectra(w0: VectorField, j0: VectorField) -> tuple[Grid, np.ndarray, np.ndarray]:
-    """Grid and half spectra of an initial pair, rejected unless both are solenoidal and mean-free."""
+#: largest |coefficient| of a datum outside the 2/3-rule cube, relative to its largest |coefficient|;
+#: band-limited data carry only the round-off of their transform there, about 1e-16 of it
+RESOLUTION_TOL = 1e-12
+
+
+def _datum_spectra(w0: VectorField, j0: VectorField) -> tuple[Grid, np.ndarray]:
+    """Grid and stacked cubes of an initial pair.
+
+    Rejected unless both data are solenoidal, mean-free and resolved on the
+    2/3-rule cube: each is zero outside it up to :data:`RESOLUTION_TOL`, and
+    the round-off there is dropped.
+    """
     grid = _same_grid(w0, j0)
-    w0h, j0h = _fwd(w0.values), _fwd(j0.values)
-    _require_solenoidal(w0.values, w0h, grid, "initial vorticity")
-    _require_solenoidal(j0.values, j0h, grid, "initial current")
-    return grid, w0h, j0h
+    keep = _tables(grid)["keep"]
+    cubes = []
+    for v, what in ((w0, "initial vorticity"), (j0, "initial current")):
+        vh = _fwd(v.values)
+        _require_solenoidal(v.values, vh, grid, what)
+        # max-abs ratios: no square to overflow for huge data
+        mag = np.abs(vh)
+        top, outside = float(mag.max()), float(np.max(mag, where=~keep, initial=0.0))
+        if outside > RESOLUTION_TOL * top:
+            raise ValueError(
+                f"{what} is not resolved on n = {grid.n}: a mode with some |k_i| > {grid.n // 3} "
+                f"holds {outside / top:.3e} of the largest coefficient (limit {RESOLUTION_TOL:.0e})"
+            )
+        cubes.append(_to_cube(vh))
+    return grid, np.stack(cubes)
 
 
 def _write_trace(mesh: TimeMesh, grid: Grid, data: np.ndarray, accs, what: str) -> MhdTrace:
-    """The trace ``exp(-t_m |k|^2) data - acc_m`` at every node, for stacked initial spectra ``data``."""
-    k2 = _tables(grid)["k2"]
+    """The trace ``exp(-t_m |k|^2) data - acc_m`` at every node, for stacked initial cubes ``data``."""
+    k2 = _cube_tables(grid)["k2"]
     # every node in one block, released whole with the trace instead of fragmenting the heap
     out = np.empty((2, len(mesh.nodes)) + data.shape[1:], dtype=data.dtype)
     for m, (t, acc) in enumerate(zip(mesh.nodes, accs)):
@@ -386,10 +425,11 @@ def _write_trace(mesh: TimeMesh, grid: Grid, data: np.ndarray, accs, what: str) 
 def heat_flow_trace(w0: VectorField, j0: VectorField, mesh: TimeMesh) -> MhdTrace:
     """The zeroth iterate: pure heat flow of the initial pair (a sweep with zero forcing).
 
-    Raises ``ValueError`` unless both data are solenoidal and mean-free.
+    Raises ``ValueError`` unless both data are solenoidal, mean-free and
+    resolved on the 2/3-rule cube.
     """
-    grid, w0h, j0h = _datum_spectra(w0, j0)
-    return _write_trace(mesh, grid, np.stack([w0h, j0h]), itertools.repeat(0.0), "heat flow")
+    grid, data = _datum_spectra(w0, j0)
+    return _write_trace(mesh, grid, data, itertools.repeat(0.0), "heat flow")
 
 
 def picard_sweep(trace: MhdTrace) -> MhdTrace:
@@ -403,7 +443,8 @@ def picard_sweep(trace: MhdTrace) -> MhdTrace:
     """
     grid, mesh, spectra = trace.grid, trace.mesh, trace.spectra
     forces = node_map(lambda m: _forcing_hats(*spectra[:, m], grid), len(mesh.nodes))
-    return _write_trace(mesh, grid, spectra[:, 0], _duhamel(forces, mesh, grid), "sweep node")
+    accs = _duhamel(forces, mesh, _cube_tables(grid)["k2"])
+    return _write_trace(mesh, grid, spectra[:, 0], accs, "sweep node")
 
 
 def trace_distance(a: MhdTrace, b: MhdTrace) -> float:
@@ -504,15 +545,18 @@ def oracle_step(grid: Grid, dt: float | None) -> float:
 
 
 def _spectral_l2(*hats: np.ndarray) -> float:
-    """Square root of the summed mean squares of real fields, from their half spectra (Parseval).
+    """Square root of the summed mean squares of real fields, from their half spectra or cubes (Parseval).
 
-    Every interior plane of the last axis also stands for its conjugate twin,
-    so it counts twice; the planes at wavenumber 0 and n/2 count once.
+    Every plane of the last axis but the one at wavenumber 0 also stands for
+    its conjugate twin, so it counts twice, except the Nyquist plane ``n/2``
+    of a half spectrum, whose even edge ``n`` shows it.  The cube's edge
+    ``2c+1`` is odd: its last plane ``c < n/2`` counts twice.
     """
     total = 0.0
     for h in hats:
         sq = h.real**2 + h.imag**2
-        total += 2.0 * np.sum(sq) - np.sum(sq[..., 0]) - np.sum(sq[..., -1])
+        nyquist = np.sum(sq[..., -1]) if h.shape[-2] % 2 == 0 else 0.0
+        total += 2.0 * np.sum(sq) - np.sum(sq[..., 0]) - nyquist
     return float(np.sqrt(total))
 
 
@@ -530,11 +574,12 @@ def reference_timestepper(
     mesh subinterval is split into uniform substeps no longer than ``dt``, so
     the mesh nodes are hit exactly without interpolation.  ``dt`` must resolve
     the fastest retained mode (``dt * max|k|^2 <= 1``), and both data must be
-    solenoidal and mean-free.
+    solenoidal, mean-free and resolved on the 2/3-rule cube, on which the
+    stepper runs.
     """
-    grid, wh, jh = _datum_spectra(w0, j0)
+    grid, (wh, jh) = _datum_spectra(w0, j0)
     dt = oracle_step(grid, dt)
-    k2 = _tables(grid)["k2"]
+    k2 = _cube_tables(grid)["k2"]
 
     def nonlin(wh: np.ndarray, jh: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         if not nonlinear:

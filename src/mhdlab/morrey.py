@@ -27,9 +27,10 @@ from .fields import (
     Field,
     Grid,
     ScalarField,
+    _cube_tables,
+    _from_cube,
     _inv,
     _magnitude_values,
-    _tables,
     node_map,
 )
 
@@ -176,17 +177,20 @@ class WeightedSeminorms:
         }
 
 
-def _node_norms(vh: np.ndarray, grid: Grid, mp: MorreyParams, sampling: BallSampling) -> tuple[float, float]:
-    """Morrey norms of ``|v|`` and ``|grad v|`` from the half spectrum ``vh``.
+def _node_norms(cube: np.ndarray, grid: Grid, mp: MorreyParams, sampling: BallSampling) -> tuple[float, float]:
+    """Morrey norms of ``|v|`` and ``|grad v|`` from ``cube``, the 2/3-rule cube of the spectrum of ``v``.
 
     An overflow gives non-finite norms.
     """
     n = grid.n
-    kd = _tables(grid)["kd"]
+    kd = _cube_tables(grid)["kd"]
     # (d v / d x_i)**2 summed over i; the n**3 of the inverse folds exactly
     # into the multiplier, because n is a power of two
-    sq = sum(_sfft.irfftn((1j * n**3) * kd[i] * vh, s=(n,) * 3, axes=(-3, -2, -1)) ** 2 for i in range(3))
-    mags = np.stack([np.sum(_inv(vh) ** 2, axis=0), np.sum(sq, axis=0)])
+    sq = sum(
+        _sfft.irfftn(_from_cube((1j * n**3) * kd[i] * cube, n), s=(n,) * 3, axes=(-3, -2, -1)) ** 2
+        for i in range(3)
+    )
+    mags = np.stack([np.sum(_inv(_from_cube(cube, n)) ** 2, axis=0), np.sum(sq, axis=0)])
     vals = [v for v, _, _ in _candidates(grid, np.sqrt(mags, out=mags), mp, sampling)]
     return max(vals[0::2]), max(vals[1::2])
 

@@ -13,7 +13,11 @@ import pytest
 from mhdlab.fields import (
     ScalarField,
     VectorField,
+    _dealias_hat,
+    _from_cube,
     _fwd,
+    _tables,
+    _to_cube,
     curl,
     divergence,
     gradient,
@@ -133,3 +137,11 @@ def test_stepper_l2_is_parseval(case):
     assert got == pytest.approx(full, rel=TOL)
     s = ScalarField(grid, scalar)
     assert _spectral_l2(_fwd(scalar)) == pytest.approx(lp_norm(s, 2) / math.sqrt(grid.volume), rel=TOL)
+
+
+def test_cube_holds_exactly_the_dealiased_modes(case):
+    grid, _, _, v, _ = case
+    h = _fwd(v.values)
+    cube = _to_cube(h)
+    assert cube.size == 3 * np.count_nonzero(_tables(grid)["keep"])
+    assert np.array_equal(_from_cube(cube, grid.n), _dealias_hat(h, grid))

@@ -1,12 +1,13 @@
 """Nonlinear terms, Duhamel quadrature, fixed-point sweeps, and the time stepper."""
 
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
 import pytest
 
-from mhdlab.fields import ScalarField, VectorField, _fwd, curl, divergence, lp_norm, make_grid
+from mhdlab.fields import ScalarField, VectorField, _fwd, _to_cube, curl, divergence, lp_norm, make_grid
 from mhdlab.initial_data import generate_initial_data
 from mhdlab.kernels import biot_savart, heat_propagate
 from mhdlab.mild import (
@@ -254,8 +255,8 @@ class TestPicardSweep:
         heat = heat_flow_trace(w0, j0, mesh)
         oracle = reference_timestepper(w0, j0, mesh, dt=1.0 / max_retained_k2(grid32))
         for trace in (heat, picard_sweep(heat), oracle):
-            assert np.array_equal(trace.spectra[0, 0], _fwd(w0.values))
-            assert np.array_equal(trace.spectra[1, 0], _fwd(j0.values))
+            assert np.array_equal(trace.spectra[0, 0], _to_cube(_fwd(w0.values)))
+            assert np.array_equal(trace.spectra[1, 0], _to_cube(_fwd(j0.values)))
 
     @staticmethod
     def _check_first_sweep(grid, mesh):
@@ -657,7 +658,7 @@ class TestTraceValidation:
         trace = heat_flow_trace(w0, j0, TimeMesh.uniform(0.5, 3))
         x1 = grid32.meshgrid()[0]
         spectra = trace.spectra.copy()
-        spectra[1, 2] = _fwd(np.stack([np.sin(x1), 0 * x1, 0 * x1]))
+        spectra[1, 2] = _to_cube(_fwd(np.stack([np.sin(x1), 0 * x1, 0 * x1])))
         with pytest.raises(ValueError, match="node 2: current is not divergence-free"):
             MhdTrace(trace.mesh, grid32, spectra).validate()
 
@@ -688,20 +689,104 @@ class TestTraceValidation:
             trace = heat_flow_trace(w0, _zero(grid16), TimeMesh.uniform(1.0, 3))
         assert rel_max_err(trace.omega[0].values, w0.values) <= 1e-14
 
+    def test_datum_off_the_cube_is_rejected(self, grid32):
+        # sin(12 x1) e3 is solenoidal and mean-free, but |k1| = 12 > 32 // 3:
+        # the dealiased system does not resolve it
+        x1 = grid32.meshgrid()[0]
+        z = _zero(grid32)
+        mesh = TimeMesh.uniform(1.0, 3)
+        dt = 1.0 / max_retained_k2(grid32)
+        for scale in (1.0, 1e160):  # max-abs ratios: a huge datum warns of no overflow
+            off = VectorField(grid32, np.stack([0 * x1, 0 * x1, scale * np.sin(12 * x1)]))
+            for w0, j0, what in ((off, z, "initial vorticity"), (z, off, "initial current")):
+                match = f"{what} is not resolved on n = 32: a mode with some \\|k_i\\| > 10"
+                with warnings.catch_warnings():
+                    warnings.simplefilter("error")
+                    with pytest.raises(ValueError, match=match):
+                        run_picard(w0, j0, mesh)
+                    with pytest.raises(ValueError, match=match):
+                        heat_flow_trace(w0, j0, mesh)
+                    with pytest.raises(ValueError, match=match):
+                        reference_timestepper(w0, j0, mesh, dt=dt)
+        on = VectorField(grid32, np.stack([0 * x1, 0 * x1, np.sin(10 * x1)]))
+        trace = heat_flow_trace(on, z, mesh)
+        assert rel_max_err(trace.omega[0].values, on.values) <= 1e-14
+
+    def test_trace_does_not_freeze_the_callers_array(self, grid32):
+        block = heat_flow_trace(*_coupled_data(grid32), TimeMesh.uniform(0.5, 3)).spectra.copy()
+        trace = MhdTrace(TimeMesh.uniform(0.5, 3), grid32, block)
+        assert block.flags.writeable
+        assert not trace.spectra.flags.writeable
+        assert np.shares_memory(trace.spectra, block)  # a complex128 block is not copied
+
     def test_node_count_mismatch(self, grid32):
         mesh = TimeMesh.uniform(1.0, 3)
-        with pytest.raises(ValueError, match="per mesh node"):
-            MhdTrace(mesh, grid32, np.zeros((2, 1, 3, 32, 32, 17), dtype=complex))
+        # the cube of n = 32 keeps |k_i| <= 10
+        match = r"shape \(2, 3, 3, 21, 21, 11\): one vorticity and current per mesh node"
+        with pytest.raises(ValueError, match=match):
+            MhdTrace(mesh, grid32, np.zeros((2, 1, 3, 21, 21, 11), dtype=complex))
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_overflowing_view_is_divergence(self):
-        # omega(t = 0.5) = 1e305 * sum over k1 != 0 of exp(i k1 x1) e3: a
-        # solenoidal node with a finite spectrum whose field overflows
+        # omega(t = 0.5) = 1e305 * sum over the four k1 != 0 of the cube
+        # (|k1| <= 2 at n = 8) of exp(i k1 x1) e3: a solenoidal node with a
+        # finite spectrum whose inverse transform overflows, since it sums
+        # 4 * 1e305 * n**3 before dividing by n**3
         grid = make_grid(8, 2 * math.pi)
-        spectra = np.zeros((2, 3, 3, 8, 8, 5), dtype=complex)
+        spectra = np.zeros((2, 3, 3, 5, 5, 3), dtype=complex)
         spectra[0, 1, 2, 1:, 0, 0] = 1e305
         trace = MhdTrace(TimeMesh.uniform(1.0, 3), grid, spectra)
         assert np.isfinite(trace.spectra).all()
         with pytest.raises(DivergenceError, match="omega at t = 0.5 is not finite"):
             trace.omega
         assert not np.any(trace.current[1].values)
+
+
+class TestCubeLayout:
+    """A trace stores only the 2/3-rule cube ``|k_i| <= c = n // 3`` of its spectra."""
+
+    @staticmethod
+    def _data(grid, seeds=(5, 6)):
+        # cutoff n fills the whole cube, its corners and its last plane k3 = c included
+        spec = {
+            key: {"family": "random_divfree", "seed": seed, "cutoff": grid.n, "amplitude": 0.5}
+            for key, seed in zip(("omega", "j"), seeds)
+        }
+        return generate_initial_data(spec, grid)
+
+    @pytest.mark.parametrize("n", [8, 16, 32])
+    def test_trace_size(self, n):
+        grid, c = make_grid(n, 2 * math.pi), n // 3
+        trace = heat_flow_trace(*self._data(grid), TimeMesh.uniform(0.1, 4))
+        assert trace.spectra.nbytes == 2 * 4 * 3 * (2 * c + 1) ** 2 * (c + 1) * 16
+
+    @pytest.mark.parametrize("n", [8, 16, 32])
+    def test_distance_is_the_physical_l2_distance(self, n):
+        # the cube's last plane k3 = c < n/2 is no Nyquist plane: it stands for
+        # its conjugate twin too, so Parseval counts it twice
+        grid = make_grid(n, 2 * math.pi)
+        mesh = TimeMesh.uniform(0.1, 4)
+        a = heat_flow_trace(*self._data(grid), mesh)
+        b = heat_flow_trace(*self._data(grid, seeds=(7, 8)), mesh)
+        assert np.any(a.spectra[..., -1] != b.spectra[..., -1])
+        riemann = max(
+            lp_norm(VectorField(grid, wa.values - wb.values), 2)
+            + lp_norm(VectorField(grid, ja.values - jb.values), 2)
+            for wa, wb, ja, jb in zip(a.omega, b.omega, a.current, b.current)
+        )
+        assert trace_distance(a, b) == pytest.approx(riemann, rel=1e-14)
+
+    def test_sweep_allocates_no_full_spectrum_trace(self, grid32, monkeypatch):
+        # one sweep allocates its new trace (4.0 MB at n = 32, M = 9) and, node by
+        # node, the forcing's working set (four physical fields, their products
+        # and transforms; 6.7 MB measured), so the bound of two traces plus
+        # 6 MB is 14 MB.  A trace of half spectra would take 15 MB alone.
+        monkeypatch.setenv("MHDLAB_THREADS", "1")
+        trace = heat_flow_trace(*self._data(grid32), TimeMesh.uniform(0.5, 9))
+        tracemalloc.start()
+        try:
+            picard_sweep(trace)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * trace.spectra.nbytes + 6 * 2**20
