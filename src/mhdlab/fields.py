@@ -9,15 +9,24 @@ with axis 0 along the first coordinate.
 Every operator of the package runs on one spectral layer (``_fwd``, ``_inv``,
 ``_tables``), the real-FFT half spectrum of shape ``(..., n, n, n//2 + 1)``:
 the last axis keeps the wavenumbers ``0..n/2``, and the other half follows
-from ``c(-k) == conj(c(k))``.  The public :class:`SpectralField`
-(``to_spectral``, ``to_physical``, ``dealias``) is a typed wrapper of the same
-half spectrum.
+from ``c(-k) == conj(c(k))``.  Both transforms scale inside the FFT
+(``norm="forward"``): the forward one divides by ``n**3``, the inverse does
+not scale.  The public :class:`SpectralField` (``to_spectral``,
+``to_physical``, ``dealias``) is a typed wrapper of the same half spectrum.
 
 Band-limited state, such as a stored trace, is kept on the 2/3-rule cube
 ``|k_i| <= n // 3`` alone, of shape ``(..., 2c+1, 2c+1, c+1)`` with
-``c = n // 3``: :func:`_to_cube` copies it out of a half spectrum,
-:func:`_from_cube` expands it into a zeroed one, and :func:`_cube_tables`
-holds the wavevector tables on it.
+``c = n // 3``: :func:`_to_cube` copies it out of a half spectrum, and
+:func:`_cube_tables` holds the wavevector tables on it.  :func:`_cube_fwd` and
+:func:`_cube_inv` transform between the cube and physical values without a
+half spectrum: the real pass along the last axis runs on every line, but the
+complex passes along the first two axes run only on the cube's ``c + 1``
+planes of the last axis, the others being zero (inverse) or dropped
+(forward).  They run the passes of :func:`_fwd` and :func:`_inv` in the same
+order, and ``n`` is a power of two, so every scaling is exact and their
+results are bitwise those of ``_to_cube(_fwd(.))`` and of ``_inv`` on the
+cube padded with zeros to a half spectrum.  Below ``n =``
+:data:`PRUNED_FROM` they make those full transforms instead, in one call.
 
 Every transform runs on one FFT worker.  Work that is independent per time
 node runs on :func:`node_map`, whose thread count ``MHDLAB_THREADS`` sets.
@@ -171,6 +180,9 @@ def _tables(grid: Grid):
 def _cube_slabs(n: int):
     """The four corner slabs of the 2/3-rule cube, as (cube index, half-spectrum index) pairs.
 
+    A half-spectrum index also picks the same modes out of the first ``c + 1``
+    planes of the last axis alone.
+
     Axes 0 and 1 of the cube hold the wavenumbers ``0..c`` then ``-c..-1``
     (``c = n // 3``), the last axis ``0..c``.
     """
@@ -181,7 +193,7 @@ def _cube_slabs(n: int):
 
 
 def _to_cube(hat: np.ndarray) -> np.ndarray:
-    """The modes of a half spectrum (or of a table on the half grid) inside the 2/3-rule cube.
+    """The modes inside the 2/3-rule cube of a half spectrum, of a table on the half grid, or of their first planes.
 
     The result has shape ``(..., 2c+1, 2c+1, c+1)`` with ``c = n // 3``.
     """
@@ -191,14 +203,6 @@ def _to_cube(hat: np.ndarray) -> np.ndarray:
     for q, h in _cube_slabs(n):
         out[q] = hat[h]
     return out
-
-
-def _from_cube(cube: np.ndarray, n: int) -> np.ndarray:
-    """The half spectrum on ``n`` points per axis that holds ``cube`` and is zero outside it."""
-    hat = np.zeros(cube.shape[:-3] + (n, n, n // 2 + 1), dtype=cube.dtype)
-    for q, h in _cube_slabs(n):
-        hat[h] = cube[q]
-    return hat
 
 
 @lru_cache(maxsize=32)
@@ -296,13 +300,47 @@ class SpectralField:
 
 def _fwd(values: np.ndarray) -> np.ndarray:
     """Forward transform to the half spectrum of per-mode coefficients of exp(i k.x)."""
-    return _sfft.rfftn(values, axes=(-3, -2, -1)) / values.shape[-1] ** 3
+    return _sfft.rfftn(values, axes=(-3, -2, -1), norm="forward")
 
 
 def _inv(coeffs: np.ndarray) -> np.ndarray:
     """Inverse of :func:`_fwd`: the real field of a half spectrum."""
     n = coeffs.shape[-2]  # the last axis holds only n//2 + 1 modes
-    return _sfft.irfftn(coeffs * n**3, s=(n, n, n), axes=(-3, -2, -1))
+    return _sfft.irfftn(coeffs, s=(n, n, n), axes=(-3, -2, -1), norm="forward")
+
+
+#: smallest ``n`` whose cube transforms are pruned.  Below it a transform is
+#: bound by the fixed cost of each scipy call, which two node threads pay
+#: under one interpreter lock, so one unpruned call beats two pruned ones
+#: (``BENCH_cube_fft.json``: pruned at n = 16, sweeps and seminorms on two
+#: threads took 13-18 % longer)
+PRUNED_FROM = 32
+
+
+def _cube_fwd(values: np.ndarray) -> np.ndarray:
+    """``_to_cube(_fwd(values))``, with the complex passes run only on the cube's planes."""
+    n = values.shape[-1]
+    if n < PRUNED_FROM:
+        return _to_cube(_fwd(values))
+    planes = _sfft.rfftn(values, axes=(-1,), norm="forward")[..., : n // 3 + 1]
+    return _to_cube(_sfft.fftn(planes, axes=(-3, -2), norm="forward", overwrite_x=True))
+
+
+def _cube_inv(cube: np.ndarray, n: int) -> np.ndarray:
+    """The real values on ``n`` points per axis whose spectrum is ``cube`` and zero outside it.
+
+    Inverse of :func:`_cube_fwd` on band-limited values; from ``n =``
+    :data:`PRUNED_FROM` the complex passes run only on the cube's ``c + 1``
+    planes of the last axis.
+    """
+    pruned = n >= PRUNED_FROM
+    planes = np.zeros(cube.shape[:-3] + (n, n, n // 3 + 1 if pruned else n // 2 + 1), dtype=cube.dtype)
+    for q, h in _cube_slabs(n):
+        planes[h] = cube[q]
+    if not pruned:
+        return _inv(planes)
+    lines = _sfft.ifftn(planes, axes=(-3, -2), norm="forward", overwrite_x=True)
+    return _sfft.irfftn(lines, s=(n,), axes=(-1,), norm="forward", overwrite_x=True)
 
 
 def to_spectral(f: ScalarField) -> SpectralField:
@@ -330,21 +368,20 @@ def gradient(f: ScalarField) -> VectorField:
     return VectorField(f.grid, _inv(1j * kd * fh[None]))
 
 
-def _k_dot(vh: np.ndarray, grid: Grid) -> np.ndarray:
-    """``kd . vh`` for a vector half spectrum: its divergence spectrum without the factor ``i``."""
-    kd = _tables(grid)["kd"]
+def _k_dot(vh: np.ndarray, kd: np.ndarray) -> np.ndarray:
+    """``kd . vh`` for a vector spectrum and the ``kd`` table of its layout: the divergence spectrum over ``i``."""
     return kd[0] * vh[0] + kd[1] * vh[1] + kd[2] * vh[2]
 
 
 def _leray_hat(vh: np.ndarray, grid: Grid) -> np.ndarray:
     """Leray projection of a vector half spectrum; the mean mode is untouched."""
     t = _tables(grid)
-    return vh - t["kd"] * (_k_dot(vh, grid) * t["inv_k2d"])[None]
+    return vh - t["kd"] * (_k_dot(vh, t["kd"]) * t["inv_k2d"])[None]
 
 
 def divergence(v: VectorField) -> ScalarField:
     """Spectral divergence ``i k . v_hat``."""
-    return ScalarField(v.grid, _inv(1j * _k_dot(_fwd(v.values), v.grid)))
+    return ScalarField(v.grid, _inv(1j * _k_dot(_fwd(v.values), _tables(v.grid)["kd"])))
 
 
 def _curl_hat(vh: np.ndarray, kd: np.ndarray) -> np.ndarray:

@@ -23,6 +23,7 @@ from .fields import (
     _inv,
     _k_dot,
     _leray_hat,
+    _tables,
     zero_vector,
 )
 from .morrey import BallSampling, MorreyParams, morrey_norm
@@ -78,7 +79,7 @@ def _finalize(vh: np.ndarray, grid: Grid, amplitude: float) -> VectorField:
     peak = float(np.sqrt(np.sum(v**2, axis=0)).max())
     if peak == 0.0:
         return zero_vector(grid)
-    dmax = float(np.abs(_inv(1j * _k_dot(vh, grid))).max())
+    dmax = float(np.abs(_inv(1j * _k_dot(vh, _tables(grid)["kd"]))).max())
     if dmax > 1e-10 * peak:
         raise ValueError(f"generated field failed the solenoidality check: {dmax / peak:.3e}")
     return VectorField(grid, v * (amplitude / peak))

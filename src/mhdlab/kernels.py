@@ -14,6 +14,8 @@ from .fields import (
     Field,
     ScalarField,
     VectorField,
+    _cube_inv,
+    _cube_tables,
     _curl_hat,
     _fwd,
     _inv,
@@ -58,11 +60,19 @@ def heat_time_derivative(f: ScalarField, t: float) -> ScalarField:
 
 
 def _require_solenoidal(values: np.ndarray, vh: np.ndarray, grid, what: str) -> None:
-    """Reject a vector field (``values``, spectrum ``vh``) unless solenoidal and mean-free."""
+    """Reject a vector field unless solenoidal and mean-free.
+
+    ``vh`` is the spectrum of ``values``: its half spectrum, or its 2/3-rule
+    cube when the field is zero outside the cube.
+    """
     # divide by the largest component before squaring, so large fields do not overflow
     top = max(float(np.abs(values).max()), np.finfo(float).tiny)
     scale = top * float(np.sqrt(np.sum((values / top) ** 2, axis=0)).max())
-    dmax = float(np.abs(_inv(1j * _k_dot(vh, grid))).max())
+    if vh.shape[-1] == grid.n // 2 + 1:
+        div = _inv(1j * _k_dot(vh, _tables(grid)["kd"]))
+    else:
+        div = _cube_inv(1j * _k_dot(vh, _cube_tables(grid)["kd"]), grid.n)
+    dmax = float(np.abs(div).max())
     if dmax > SOLENOIDAL_TOL * scale:
         raise ValueError(
             f"{what} is not divergence-free: max |div| = {dmax:.3e} "

@@ -3,10 +3,9 @@ and an independent integrating-factor time stepper.
 
 The evolved pair is (vorticity, current density).  A trace holds only their
 spectra inside the 2/3-rule cube ``|k_i| <= n // 3`` at every time node; the
-physical fields are formed on demand, by expanding a node into its zeroed
-real-FFT half spectrum (:func:`~mhdlab.fields._from_cube`) and one inverse
-transform, and velocity and magnetic field are curl inversions formed where
-the forcing needs them.  The fixed-point sweep updates the whole trajectory at
+physical fields are formed on demand, one inverse transform of a node's cube
+each, and velocity and magnetic field are curl inversions formed where the
+forcing needs them.  The fixed-point sweep updates the whole trajectory at
 once: each new iterate is the heat flow of the initial data minus the
 time-convolved nonlinear forcing of the previous iterate.  Nonlinear products
 are formed in physical space and dealiased by the 2/3 rule before
@@ -15,6 +14,12 @@ acts mode by mode, so iterates of data resolved on the cube stay on it
 exactly.  Each datum is checked to be resolved there up to round-off, and
 projected onto the cube once.
 
+Every transform between the cube and physical space goes through
+:func:`~mhdlab.fields._cube_inv` or :func:`~mhdlab.fields._cube_fwd`: from
+``n =`` :data:`~mhdlab.fields.PRUNED_FROM` on, their complex passes run only
+on the cube's ``c + 1`` planes of the last axis, without forming a half
+spectrum, and their results are bitwise those of the full transforms.
+
 A sweep stays on the cube and costs O(M) in the number of nodes.  One
 recursion advances the Duhamel integral node by node,
 ``acc_m = E(h) acc_{m-1} + A(h) F_{m-1} + B(h) F_m``: ``E(h)`` is the heat
@@ -22,12 +27,12 @@ multiplier of the step ``h = t_m - t_{m-1}`` and ``A(h)``, ``B(h)`` fold the
 Gauss-Legendre weights of the linearly interpolated forcing over that step,
 so every mesh, graded ones included, gets the same quadrature as the direct
 sum over all earlier subintervals.  The forcing of a node is computed from
-``u, w, b, j``, one inverse transform of a stored spectrum each, and dropped
-after the next step.  One writer puts ``exp(-t_m |k|^2) data - acc_m`` into
-the new trace: the zeroth iterate is the writer with zero integrals, a sweep
-the writer over the recursion.  Node 0 of every trace holds the initial
-spectra, so a sweep reads its data there.  The Heun stepper, the independent
-oracle, keeps its own loop.
+``u, w, b, j``, one inverse transform of a cube each, with one forward
+transform per product, and dropped after the next step.  One writer puts
+``exp(-t_m |k|^2) data - acc_m`` into the new trace: the zeroth iterate is
+the writer with zero integrals, a sweep the writer over the recursion.  Node
+0 of every trace holds the initial spectra, so a sweep reads its data there.
+The Heun stepper, the independent oracle, keeps its own loop.
 
 The forcings of the nodes are independent, so they stream in node order from
 :func:`~mhdlab.fields.node_map`, on up to ``MHDLAB_THREADS`` threads (by
@@ -55,10 +60,11 @@ from .fields import (
     Grid,
     ScalarField,
     VectorField,
+    _cube_fwd,
+    _cube_inv,
     _cube_tables,
     _curl_hat,
     _dealias_values,
-    _from_cube,
     _fwd,
     _inv,
     _same_grid,
@@ -123,7 +129,7 @@ class MhdTrace:
     spectrum, axes 0 and 1 holding the wavenumbers ``0..c`` then ``-c..-1``
     and the last axis ``0..c`` (the layout of :func:`~mhdlab.fields._to_cube`).
     Every trace is zero outside that cube, so only the cube is stored;
-    :func:`~mhdlab.fields._from_cube` expands a node into its half spectrum.
+    :func:`~mhdlab.fields._cube_inv` transforms a node to physical values.
     ``spectra`` is a read-only view: the array passed in stays as writeable as
     it was, and is not copied when it is already complex128.  Node 0 holds
     the initial data, from which :func:`picard_sweep` starts.  The physical
@@ -158,7 +164,7 @@ class MhdTrace:
     def _fields(self, which: int, what: str) -> tuple[VectorField, ...]:
         out = []
         for t, cube in zip(self.mesh.nodes, self.spectra[which]):
-            values = _inv(_from_cube(cube, self.grid.n))
+            values = _cube_inv(cube, self.grid.n)
             _require_finite(f"{what} at t = {t}", values)
             out.append(VectorField(self.grid, values))
         return tuple(out)
@@ -167,10 +173,9 @@ class MhdTrace:
         """Check the stored spectra: every vorticity and current node finite, divergence-free and mean-free."""
         for which, name in enumerate(("omega", "current")):
             for m, (t, cube) in enumerate(zip(self.mesh.nodes, self.spectra[which])):
-                hat = _from_cube(cube, self.grid.n)
-                values = _inv(hat)
+                values = _cube_inv(cube, self.grid.n)
                 _require_finite(f"{name} at t = {t}", values)
-                _require_solenoidal(values, hat, self.grid, f"node {m}: {name}")
+                _require_solenoidal(values, cube, self.grid, f"node {m}: {name}")
 
 
 @dataclass(frozen=True)
@@ -240,7 +245,7 @@ def _flux_hat(u: np.ndarray, w: np.ndarray, b: np.ndarray, j: np.ndarray, grid: 
     t01 = u[0] * w[1] - u[1] * w[0] - b[0] * j[1] + b[1] * j[0]
     t02 = u[0] * w[2] - u[2] * w[0] - b[0] * j[2] + b[2] * j[0]
     t12 = u[1] * w[2] - u[2] * w[1] - b[1] * j[2] + b[2] * j[1]
-    h01, h02, h12 = (_to_cube(_fwd(t)) for t in (t01, t02, t12))
+    h01, h02, h12 = (_cube_fwd(t) for t in (t01, t02, t12))
     kd = _cube_tables(grid)["kd"]
     return 1j * np.stack(
         [
@@ -269,14 +274,14 @@ def _source_hat(u: np.ndarray, b: np.ndarray, grid: Grid) -> np.ndarray:
     """Spectral ``-curl curl`` of the dealiased cross product ``u x b``, on the 2/3-rule cube."""
     cross = np.stack([u[1] * b[2] - u[2] * b[1], u[2] * b[0] - u[0] * b[2], u[0] * b[1] - u[1] * b[0]])
     kd = _cube_tables(grid)["kd"]
-    return -_curl_hat(_curl_hat(_to_cube(_fwd(cross)), kd), kd)
+    return -_curl_hat(_curl_hat(_cube_fwd(cross), kd), kd)
 
 
 def _forcing_hats(wh: np.ndarray, jh: np.ndarray, grid: Grid) -> tuple[np.ndarray, np.ndarray]:
     """Flux and current-source cubes of one node, from its vorticity and current cubes."""
     tab = _cube_tables(grid)
     cubes = (_biot_savart_hat(wh, tab), wh, _biot_savart_hat(jh, tab), jh)
-    u, w, b, j = (_inv(_from_cube(h, grid.n)) for h in cubes)
+    u, w, b, j = (_cube_inv(h, grid.n) for h in cubes)
     return _flux_hat(u, w, b, j, grid), _source_hat(u, b, grid)
 
 
@@ -289,7 +294,7 @@ def vorticity_flux(u: VectorField, w: VectorField, b: VectorField, j: VectorFiel
     """
     grid = _same_grid(u, w, b, j)
     flux = _flux_hat(u.values, w.values, b.values, j.values, grid)
-    return VectorField(grid, _inv(_from_cube(flux, grid.n)))
+    return VectorField(grid, _cube_inv(flux, grid.n))
 
 
 def current_source(u: VectorField, b: VectorField) -> VectorField:
@@ -300,7 +305,7 @@ def current_source(u: VectorField, b: VectorField) -> VectorField:
     oracle is ``curl(stretching_form(u, b, 0, 0))``).
     """
     grid = _same_grid(u, b)
-    return VectorField(grid, _inv(_from_cube(_source_hat(u.values, b.values, grid), grid.n)))
+    return VectorField(grid, _cube_inv(_source_hat(u.values, b.values, grid), grid.n))
 
 
 def stretching_form(u: VectorField, w: VectorField, b: VectorField, j: VectorField) -> VectorField:

@@ -27,9 +27,8 @@ from .fields import (
     Field,
     Grid,
     ScalarField,
+    _cube_inv,
     _cube_tables,
-    _from_cube,
-    _inv,
     _magnitude_values,
     node_map,
 )
@@ -109,13 +108,19 @@ def _candidates(grid: Grid, mags: np.ndarray, mp: MorreyParams, sampling: BallSa
     come radius by radius, one per array in stack order; one forward
     transform covers the stack and each radius takes one inverse.  An array
     whose power sum falls below the smallest normal number while it is not
-    all zero is redone scaled by a power of two that takes its largest
-    magnitude below 1, and its candidates are scaled back.
+    all zero, or exceeds the largest float over the squared cell count (the
+    ball sums' transforms could overflow; the power sum itself may have),
+    is redone scaled by a power of two that takes its largest magnitude
+    below 1, and its candidates are scaled back.  So a candidate is
+    non-finite only when a magnitude is, or when it exceeds the largest float.
     """
     h3 = grid.spacing**3
-    g = mags ** mp.p * h3
-    # frexp(0) is (0, 0): an all-zero array keeps its shift of 0
-    shifts = [math.frexp(float(m.max()))[1] if gi.sum() < np.finfo(float).tiny else 0 for m, gi in zip(mags, g)]
+    with np.errstate(over="ignore"):
+        g = mags ** mp.p * h3
+        sums = [float(gi.sum()) for gi in g]
+    low, high = np.finfo(float).tiny, np.finfo(float).max / float(g[0].size) ** 2
+    # frexp of 0, inf and nan has exponent 0: such an array keeps its shift of 0
+    shifts = [math.frexp(float(m.max()))[1] if not low <= s < high else 0 for m, s in zip(mags, sums)]
     for i, e in enumerate(shifts):
         if e:
             g[i] = np.ldexp(mags[i], -e) ** mp.p * h3
@@ -128,11 +133,19 @@ def _candidates(grid: Grid, mags: np.ndarray, mp: MorreyParams, sampling: BallSa
         for sub, e in zip(np.maximum(mass[:, ::st, ::st, ::st], 0.0), shifts):
             idx = np.unravel_index(np.argmax(sub), sub.shape)
             val = r ** (-mp.lam / mp.p) * sub[idx] ** (1.0 / mp.p)
-            yield math.ldexp(val, e), tuple(st * i for i in idx), r
+            yield _ldexp(val, e), tuple(st * i for i in idx), r
     if mp.lam == 0.0:
         # sup over arbitrarily large radii degenerates to the global integral
         for gi, e in zip(g, shifts):
-            yield math.ldexp(gi.sum() ** (1.0 / mp.p), e), None, math.inf
+            yield _ldexp(gi.sum() ** (1.0 / mp.p), e), None, math.inf
+
+
+def _ldexp(x: float, e: int) -> float:
+    """``x * 2**e``, or ``inf`` where that overflows."""
+    try:
+        return math.ldexp(x, e)
+    except OverflowError:
+        return math.inf
 
 
 def morrey_norm(f: Field, mp: MorreyParams, sampling: BallSampling = BallSampling()) -> float:
@@ -184,13 +197,8 @@ def _node_norms(cube: np.ndarray, grid: Grid, mp: MorreyParams, sampling: BallSa
     """
     n = grid.n
     kd = _cube_tables(grid)["kd"]
-    # (d v / d x_i)**2 summed over i; the n**3 of the inverse folds exactly
-    # into the multiplier, because n is a power of two
-    sq = sum(
-        _sfft.irfftn(_from_cube((1j * n**3) * kd[i] * cube, n), s=(n,) * 3, axes=(-3, -2, -1)) ** 2
-        for i in range(3)
-    )
-    mags = np.stack([np.sum(_inv(_from_cube(cube, n)) ** 2, axis=0), np.sum(sq, axis=0)])
+    sq = sum(_cube_inv(1j * kd[i] * cube, n) ** 2 for i in range(3))  # (d v / d x_i)**2 summed over i
+    mags = np.stack([np.sum(_cube_inv(cube, n) ** 2, axis=0), np.sum(sq, axis=0)])
     vals = [v for v, _, _ in _candidates(grid, np.sqrt(mags, out=mags), mp, sampling)]
     return max(vals[0::2]), max(vals[1::2])
 

@@ -23,6 +23,19 @@ def inv_full(coeffs: np.ndarray) -> np.ndarray:
     return sfft.ifftn(coeffs * coeffs.shape[-1] ** 3, axes=(-3, -2, -1)).real
 
 
+def from_cube(cube: np.ndarray, n: int) -> np.ndarray:
+    """The half spectrum on ``n`` points per axis that holds the 2/3-rule cube ``cube`` and is zero outside it.
+
+    Axes 0 and 1 of the cube hold the wavenumbers ``0..c`` then ``-c..-1``
+    (``c = n // 3``), the last axis ``0..c``.
+    """
+    c = n // 3
+    rows = np.r_[0 : c + 1, n - c : n]  # half-spectrum index of each cube row
+    hat = np.zeros(cube.shape[:-3] + (n, n, n // 2 + 1), dtype=cube.dtype)
+    hat[..., rows[:, None], rows[None, :], : c + 1] = cube
+    return hat
+
+
 def tables_full(grid: Grid) -> dict:
     """The package's wavevector tables (``kd``, ``k2``, ``inv_k2d``, ``keep``) on the full (n, n, n) grid."""
     n = grid.n

@@ -262,11 +262,15 @@ class TestLpNorm:
         # 1e160 field overflow to inf. At p = 1.5 and 3 the rounded root 1/p
         # costs up to about log(sum) ulps of the result (measured 2e-14 at
         # p = 1.5), so only the exponents with an exact root are held to 1e-15.
+        # The Morrey norms' power sums of the 1e160 field overflow at p >= 2 too.
         # Unscaled, the p-th powers (p >= 2) of a 1e-170 field underflow to 0
         unit = solenoidal_vector(grid16, 0)
         lp_cases = ((1.0, 1e-15), (math.inf, 1e-15), (1.5, 1e-13), (2.0, 1e-15), (3.0, 1e-13))
         morrey_cases = {
-            1e160: ((1.0, 0.0, 1e-15), (1.0, 1.0, 1e-15), (1.5, 1.0, 1e-13)),
+            1e160: (
+                (1.0, 0.0, 1e-15), (1.0, 1.0, 1e-15), (1.5, 1.0, 1e-13), (2.0, 0.0, 1e-15), (2.0, 1.0, 1e-15),
+                (3.0, 2.0, 1e-13),
+            ),
             1e-170: (
                 (1.0, 0.0, 1e-15), (1.5, 1.0, 1e-13), (2.0, 0.0, 1e-15), (2.0, 1.0, 1e-15), (3.0, 2.0, 1e-13),
             ),

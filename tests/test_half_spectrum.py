@@ -10,12 +10,15 @@ import math
 import numpy as np
 import pytest
 
+from mhdlab import fields
 from mhdlab.fields import (
     ScalarField,
     VectorField,
+    _cube_fwd,
+    _cube_inv,
     _dealias_hat,
-    _from_cube,
     _fwd,
+    _inv,
     _tables,
     _to_cube,
     curl,
@@ -35,7 +38,7 @@ from mhdlab.kernels import (
 from mhdlab.mild import _spectral_l2, current_source, vorticity_flux
 
 from .conftest import rel_max_err
-from .oracles import fwd_full, inv_full, tables_full
+from .oracles import from_cube, fwd_full, inv_full, tables_full
 
 TOL = 1e-13
 
@@ -144,4 +147,52 @@ def test_cube_holds_exactly_the_dealiased_modes(case):
     h = _fwd(v.values)
     cube = _to_cube(h)
     assert cube.size == 3 * np.count_nonzero(_tables(grid)["keep"])
-    assert np.array_equal(_from_cube(cube, grid.n), _dealias_hat(h, grid))
+    assert np.array_equal(from_cube(cube, grid.n), _dealias_hat(h, grid))
+
+
+def _bitwise(a: np.ndarray, b: np.ndarray) -> bool:
+    """Same dtype, shape and bytes: signed zeros and NaN payloads count."""
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+class TestCubeTransforms:
+    """The pair between the 2/3-rule cube and physical values is bitwise the expanded one, pruned or not."""
+
+    @pytest.fixture(params=[True, False], ids=["pruned", "full"])
+    def pruned(self, request, monkeypatch):
+        # both pass plans at every n: PRUNED_FROM is read at each call
+        monkeypatch.setattr(fields, "PRUNED_FROM", 8 if request.param else 2**30)
+        return request.param
+
+    @pytest.mark.parametrize("lead", [(3,), (2, 3)])
+    @pytest.mark.parametrize("n", [8, 16, 32, 64])
+    def test_bitwise_the_expanded_transforms(self, n, lead, pruned):
+        # white noise: every mode outside the cube is set, so the forward
+        # transform must drop them exactly as _to_cube does
+        values = np.random.default_rng(n).standard_normal(lead + (n, n, n))
+        cube = _to_cube(_fwd(values))
+        assert _bitwise(_cube_fwd(values), cube)
+        band = _cube_inv(cube, n)
+        assert _bitwise(band, _inv(from_cube(cube, n)))
+        assert _bitwise(_cube_fwd(band), _to_cube(_fwd(band)))
+
+    @pytest.mark.parametrize("n", [8, 16, 32, 64])
+    def test_batched_equals_one_component_at_a_time(self, n, pruned):
+        values = np.random.default_rng(n + 1).standard_normal((2, 3, n, n, n))
+        cube = _cube_fwd(values)
+        band = _cube_inv(cube, n)
+        for i in range(2):
+            for m in range(3):
+                assert _bitwise(cube[i, m], _cube_fwd(values[i, m]))
+                assert _bitwise(band[i, m], _cube_inv(cube[i, m], n))
+
+    def test_forward_drops_the_modes_outside_the_cube(self, pruned):
+        # at n = 16 the cube keeps |k_i| <= 5: the mean and k = (1, -2, 3) are
+        # inside it, k = (6, 0, 0) and the Nyquist mode (0, 0, 8) outside
+        grid = make_grid(16, 2 * math.pi)
+        x1, x2, x3 = grid.meshgrid()
+        values = 0.5 + np.cos(x1 - 2 * x2 + 3 * x3) + np.sin(6 * x1) + np.cos(8 * x3)
+        cube = _cube_fwd(values)
+        assert _bitwise(cube, _to_cube(_fwd(values)))
+        kept = values - np.sin(6 * x1) - np.cos(8 * x3)
+        assert rel_max_err(_cube_inv(cube, 16), kept) <= 1e-14

@@ -726,20 +726,35 @@ class TestTraceValidation:
         with pytest.raises(ValueError, match=match):
             MhdTrace(mesh, grid32, np.zeros((2, 1, 3, 21, 21, 11), dtype=complex))
 
+    @staticmethod
+    def _cosine_node(amplitude):
+        # omega(t = 0.5) = amplitude * sum over the four k1 != 0 of the cube
+        # (|k1| <= 2 at n = 8) of exp(i k1 x1) e3, that is
+        # 2 * amplitude * (cos x1 + cos 2 x1): solenoidal, peak 4 * amplitude at x1 = 0
+        spectra = np.zeros((2, 3, 3, 5, 5, 3), dtype=complex)
+        spectra[0, 1, 2, 1:, 0, 0] = amplitude
+        return MhdTrace(TimeMesh.uniform(1.0, 3), make_grid(8, 2 * math.pi), spectra)
+
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_overflowing_view_is_divergence(self):
-        # omega(t = 0.5) = 1e305 * sum over the four k1 != 0 of the cube
-        # (|k1| <= 2 at n = 8) of exp(i k1 x1) e3: a solenoidal node with a
-        # finite spectrum whose inverse transform overflows, since it sums
-        # 4 * 1e305 * n**3 before dividing by n**3
-        grid = make_grid(8, 2 * math.pi)
-        spectra = np.zeros((2, 3, 3, 5, 5, 3), dtype=complex)
-        spectra[0, 1, 2, 1:, 0, 0] = 1e305
-        trace = MhdTrace(TimeMesh.uniform(1.0, 3), grid, spectra)
+        # a finite spectrum whose values peak at 4e308, past the largest float
+        trace = self._cosine_node(1e308)
         assert np.isfinite(trace.spectra).all()
         with pytest.raises(DivergenceError, match="omega at t = 0.5 is not finite"):
             trace.omega
         assert not np.any(trace.current[1].values)
+
+    def test_large_finite_view_is_finite(self):
+        # peak 4e305: the inverse transform does not scale, so nothing on the
+        # way to a finite value overflows
+        trace = self._cosine_node(1e305)
+        x1 = trace.grid.axis()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            omega = trace.omega[1].values
+        want = 2e305 * (np.cos(x1) + np.cos(2 * x1))
+        assert rel_max_err(omega[2], np.broadcast_to(want[:, None, None], omega[2].shape)) <= 1e-15
+        assert omega[2].max() == 4e305 and not np.any(omega[:2])
 
 
 class TestCubeLayout:

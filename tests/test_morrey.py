@@ -1,6 +1,7 @@
 """Morrey-norm estimator, weighted seminorms, and the inequality-ratio checks."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -130,6 +131,26 @@ class TestStructuralProperties:
         mp = MorreyParams(1.5, 1.0)
         scaled = morrey_norm(ScalarField(grid32, 3.7 * f.values), mp)
         assert abs(scaled - 3.7 * morrey_norm(f, mp)) <= 1e-12 * scaled
+
+    def test_huge_finite_field_has_finite_norms(self, grid16):
+        # a norm is non-finite only when a magnitude is.  At p = 1 the power
+        # sums of 1e303 to 1e305 times a unit-order field stay finite, but
+        # the ball sums' transforms would overflow (reading inf, or 5e304
+        # for 3.4e306 at 1e305 and lam = 1); at 1e306 the whole-box norm
+        # (lam = 0) is 2e308 itself
+        f = np.random.default_rng(3).standard_normal(grid16.n**3).reshape((grid16.n,) * 3)
+        unit = ScalarField(grid16, f)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for scale in (1e303, 1e305, 1e306):
+                for mp in (MorreyParams(1.0, 0.0), MorreyParams(1.0, 1.0), MorreyParams(2.0, 1.0)):
+                    want = scale * morrey_norm(unit, mp)
+                    got, centre, r = morrey_norm_detail(ScalarField(grid16, scale * f), mp)
+                    if math.isinf(want):
+                        assert got == math.inf
+                        continue
+                    assert got == pytest.approx(want, rel=1e-15)
+                    assert (centre, r) == morrey_norm_detail(unit, mp)[1:]
 
     def test_sampling_monotonicity(self, grid32):
         for seed in range(4):
