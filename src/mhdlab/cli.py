@@ -59,7 +59,7 @@ from .mild import (
     trace_distance,
 )
 from .morrey import BallSampling, MorreyParams, WeightedSeminorms, morrey_norm_detail, weighted_seminorms
-from .theory import RegionQuery, e2_witness_search, region_a1, region_a2, region_e1
+from .theory import RegionQuery, e2_witness_search, region_a1, region_a2, region_e1, smallness_threshold
 from .verify import run_suite
 
 #: the schema of every block of a simulate config, and of its top level (see ``_read_block``)
@@ -210,9 +210,11 @@ def _write_run(exp: Experiment, run: Run) -> None:
         write_field(out_dir / f"current_{m:04d}.mhf", j)
 
     report = run.report
+    p, q = exp.exponents["p"], exp.exponents["q"]
     manifest = {
         "config": exp.manifest_config(),
         "initial_norms": run.sizes,
+        "smallness_threshold": smallness_threshold(p, q) if region_a1(p, q) else None,
         "converged": report.converged,
         "stop": report.stop,
         "sweep_count": report.sweep_count,

@@ -480,9 +480,11 @@ def run_picard(
 
     - ``"converged"``: the successive-difference norm ``delta`` dropped to ``tol``;
     - ``"not_contracting"``: ``delta`` grew, or stayed level, in two
-      consecutive sweeps (ratios ``delta_k / delta_{k-1} >= 1``): the data left
-      the smallness regime, the horizon is too long for a contraction, or the
-      deltas reached their round-off floor above ``tol``;
+      consecutive sweeps (ratios ``delta_k / delta_{k-1} >= 1``): the
+      iteration may diverge, the deltas may have reached their round-off
+      floor above ``tol``, or they may grow only for a few sweeps before
+      they contract, which the rule cannot tell apart (runs with transient
+      growth at sweeps 2 and 3 are stopped here and converge without it);
     - ``"budget"``: ``max_sweeps`` sweeps ran without either;
     - ``"overflow"``: a sweep's iterate, distance or seminorms were not
       finite; its record has ``delta = inf``.

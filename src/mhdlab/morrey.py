@@ -5,8 +5,19 @@ radii.  Here the sup is discretized from below: centers on a sub-lattice of
 grid points, dyadic radii capped at ``l/2`` (so balls in the torus metric do
 not wrap onto themselves).  Ball membership counts cell centers; ball sums for
 all centers at once are circular convolutions with the ball indicator,
-evaluated by FFT.  Refining the sampling (smaller stride that divides the old
-one, more radii per octave) never decreases the estimate.
+evaluated by FFT.
+
+The sums are only read at the sampled centers, so a radius costs one fold
+instead of a full inverse: the half spectrum of the ball sums, folded modulo
+``n/2`` on every axis, has an inverse on ``(n/2)**3`` points that is the ball
+sums at the centers whose three indices are all even.  A ball that is exactly
+a block of cells (the center cell alone, and the 3x3x3 block; radii ``h`` and
+``2h`` of the default ladder) needs no transform: its sums are added up axis
+by axis.  Every center gets the same bits at every stride: a block ball's
+sums are computed alike for every stride, an all-even center always takes
+the fold's value, and only the other centers of an odd stride read a full
+inverse transform.  Refining the sampling (smaller stride that divides the
+old one, more radii per octave) therefore never decreases the estimate.
 
 For a zero scaling exponent the norm is the plain global L^p norm, so the
 whole-box integral enters as an extra candidate exactly in that case.
@@ -86,14 +97,21 @@ class BallSampling:
 
 @lru_cache(maxsize=256)
 def _ball_kernel(n: int, l: float, r: float):
-    """rfft of the ball indicator (cell-center counting, torus metric) and its cell count."""
+    """The ball of radius ``r`` (cell-center counting, torus metric): rfft of its indicator, cell count, block half-width.
+
+    The half-width is ``w`` when the ball is exactly the ``(2w+1)**3`` block
+    of cells around its center (``w = 0`` for the center cell alone, 1 for
+    the 3x3x3 block), and None for any other shape.
+    """
     o = np.minimum(np.arange(n), n - np.arange(n))
     s2 = o[:, None, None] ** 2 + o[None, :, None] ** 2 + o[None, None, :] ** 2
     thr = (r / (l / n)) ** 2
-    mask = (s2 < thr).astype(np.float64)
-    kern = _sfft.rfftn(mask)
+    mask = s2 < thr
+    count = int(mask.sum())
+    half = int(o[mask.any(axis=(1, 2))].max(initial=0))
+    kern = _sfft.rfftn(mask.astype(np.float64))
     kern.setflags(write=False)
-    return kern, int(mask.sum())
+    return kern, count, half if count == (2 * half + 1) ** 3 else None
 
 
 def ball_cell_count(grid: Grid, r: float) -> int:
@@ -101,18 +119,83 @@ def ball_cell_count(grid: Grid, r: float) -> int:
     return _ball_kernel(grid.n, grid.l, r)[1]
 
 
+@lru_cache(maxsize=16)
+def _flip(half_n: int) -> np.ndarray:
+    """Index of ``-k mod N`` for ``k = 0..N-1``, ``N = half_n``."""
+    idx = -np.arange(half_n) % half_n
+    idx.setflags(write=False)
+    return idx
+
+
+def _fold(prod: np.ndarray) -> np.ndarray:
+    """Ball sums at the all-even centers from the half spectrum ``prod`` of the ball sums on all centers.
+
+    The inverse transform sampled at even indices only sees the spectrum
+    folded modulo ``N = n/2``.  The halves of axes -3 and -2 are added into
+    ``Q``; on the last axis, whose upper half is known only through its
+    conjugate twin, ``F[k] = Q[k] + conj(Q[-k1, -k2, N - k3])`` for
+    ``k3 = 0..N/2``.  The inverse of ``F`` on ``N**3`` points is 8 times the
+    wanted values; ``n`` is a power of two, so the division by 8 is exact.
+    """
+    n = prod.shape[-2]
+    m = n // 2
+    q = prod[:, :m] + prod[:, m:]
+    q = q[:, :, :m] + q[:, :, m:]
+    f = _flip(m)
+    folded = q[..., : m // 2 + 1] + np.conj(q[:, f[:, None], f[None, :], m : m // 2 - 1 : -1])
+    return _sfft.irfftn(folded, s=(m, m, m), axes=(-3, -2, -1), overwrite_x=True) / 8.0
+
+
+def _block_sums(g: np.ndarray, half: int, st: int) -> np.ndarray:
+    """Sums of ``g`` over the ``(2 half + 1)**3`` block around every center of the stride-``st`` lattice, axis by axis."""
+    n = g.shape[-1]
+    at = np.arange(0, n, st)
+    out = g
+    for axis in (-3, -2, -1):
+        acc = np.take(out, (at - half) % n, axis=axis)
+        for d in range(1 - half, half + 1):
+            acc += np.take(out, (at + d) % n, axis=axis)
+        out = acc
+    return out
+
+
+def _ball_sums(g: np.ndarray, ghat: np.ndarray, ball, st: int) -> np.ndarray:
+    """Sums of each of ``g`` over ``ball`` (from :func:`_ball_kernel`) around every center of the stride-``st`` lattice.
+
+    ``ghat`` is the rfft of ``g``.  A center gets the same bits at every
+    stride: a block ball is a direct sum (:func:`_block_sums`), a center
+    whose three indices are all even takes the fold's value
+    (:func:`_fold`), and only the other centers of an odd stride read a full
+    inverse transform.
+    """
+    kern, _, half = ball
+    if half is not None:
+        return _block_sums(g, half, st)
+    prod = ghat * kern
+    fold = _fold(prod)
+    if st % 2 == 0:
+        return fold[:, :: st // 2, :: st // 2, :: st // 2]
+    mass = _sfft.irfftn(prod, s=g.shape[1:], axes=(-3, -2, -1), overwrite_x=True)[:, ::st, ::st, ::st]
+    mass[:, ::2, ::2, ::2] = fold[:, ::st, ::st, ::st]
+    return mass
+
+
 def _candidates(grid: Grid, mags: np.ndarray, mp: MorreyParams, sampling: BallSampling):
     """Yield (value, center_index_tuple_or_None, radius) candidates for the sup of each of ``mags``.
 
     ``mags`` stacks magnitude arrays along its first axis.  The candidates
     come radius by radius, one per array in stack order; one forward
-    transform covers the stack and each radius takes one inverse.  An array
-    whose power sum falls below the smallest normal number while it is not
-    all zero, or exceeds the largest float over the squared cell count (the
-    ball sums' transforms could overflow; the power sum itself may have),
-    is redone scaled by a power of two that takes its largest magnitude
-    below 1, and its candidates are scaled back.  So a candidate is
-    non-finite only when a magnitude is, or when it exceeds the largest float.
+    transform covers the stack and each radius that is not a block takes one
+    fold (:func:`_ball_sums`).  An array whose power sum ``S`` falls below
+    the smallest normal number while it is not all zero, or reaches the
+    largest float over ``n**6``, is redone scaled by a power of two that
+    takes its largest magnitude below 1, and its candidates are scaled back.
+    That bound keeps every transform finite: a spectral value of a ball sum
+    is at most ``S`` times the cell count (at most ``n**3``), a fold adds 8
+    of them and its inverse sums ``(n/2)**3`` folded values before it
+    scales, so no partial sum exceeds ``S * n**6``, as for the full inverse
+    on ``n**3`` points.  So a candidate is non-finite only when a magnitude
+    is, or when it exceeds the largest float.
     """
     h3 = grid.spacing**3
     with np.errstate(over="ignore"):
@@ -128,9 +211,8 @@ def _candidates(grid: Grid, mags: np.ndarray, mp: MorreyParams, sampling: BallSa
     ghat = _sfft.rfftn(g, axes=(-3, -2, -1))
     st = sampling.stride
     for r in sampling.radii(grid):
-        kern, _ = _ball_kernel(grid.n, grid.l, r)
-        mass = _sfft.irfftn(ghat * kern, s=g.shape[1:], axes=(-3, -2, -1))
-        for sub, e in zip(np.maximum(mass[:, ::st, ::st, ::st], 0.0), shifts):
+        mass = _ball_sums(g, ghat, _ball_kernel(grid.n, grid.l, r), st)
+        for sub, e in zip(np.maximum(mass, 0.0), shifts):
             idx = np.unravel_index(np.argmax(sub), sub.shape)
             val = r ** (-mp.lam / mp.p) * sub[idx] ** (1.0 / mp.p)
             yield _ldexp(val, e), tuple(st * i for i in idx), r

@@ -310,13 +310,17 @@ def smallness_threshold(p: float, q: float, ledger: ConstantsLedger = ConstantsL
 
     ``min(1/C(1 - (3-q)/(2p), (3-q)/p - 1), 1) / (32 * g_heat * g_duhamel * g_product)``
     with the three gains taken from the ledger.  Requires admissible (p, q).
+    ``C`` is the beta function, taken in closed form (not by
+    :func:`beta_C`'s quadrature) so that a run can record the threshold
+    without importing the quadrature.
     """
     if not region_a1(p, q):
         raise ValueError(f"(p, q) = ({p}, {q}) is outside the admissible region")
     a = 1.0 - (3.0 - q) / (2.0 * p)
     b = (3.0 - q) / p - 1.0
     gains = ledger.heat_smoothing * ledger.duhamel_smoothing * ledger.product_estimate
-    return min(1.0 / beta_C(a, b), 1.0) / (32.0 * gains)
+    beta = math.gamma(a) * math.gamma(b) / math.gamma(a + b)
+    return min(1.0 / beta, 1.0) / (32.0 * gains)
 
 
 # ---------------------------------------------------------------------------

@@ -86,6 +86,20 @@ def ball_count_direct(grid: Grid, r: float) -> int:
     return int((s2 < (r / grid.spacing) ** 2).sum())
 
 
+def ball_sums_full(g: np.ndarray, grid: Grid, r: float, stride: int) -> np.ndarray:
+    """Sums of each of ``g`` (stacked on axis 0) over the ball of radius ``r`` around every stride-``stride`` centre.
+
+    One full inverse transform of the ball sums on all ``n**3`` centres, of
+    which the sub-lattice is kept: the reference for the estimator's folds
+    and block sums.
+    """
+    o = np.minimum(np.arange(grid.n), grid.n - np.arange(grid.n))
+    s2 = o[:, None, None] ** 2 + o[None, :, None] ** 2 + o[None, None, :] ** 2
+    kern = sfft.rfftn((s2 < (r / grid.spacing) ** 2).astype(float))
+    mass = sfft.irfftn(sfft.rfftn(g, axes=(-3, -2, -1)) * kern, s=g.shape[1:], axes=(-3, -2, -1))
+    return mass[:, ::stride, ::stride, ::stride]
+
+
 def constant_field_norm(grid: Grid, c: float, mp: MorreyParams, radii) -> float:
     """Closed form of the estimator for a constant field, from counted ball volumes."""
     h3 = grid.spacing**3

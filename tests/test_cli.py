@@ -20,6 +20,7 @@ from mhdlab.field_io import read_field, write_field
 from mhdlab.fields import ScalarField, make_grid
 from mhdlab.kernels import gaussian_bump
 from mhdlab.morrey import MorreyParams, morrey_norm
+from mhdlab.theory import smallness_threshold
 
 from .oracles import fine_radii, morrey_direct
 
@@ -53,6 +54,7 @@ class TestSimulate:
         assert manifest["converged"]
         assert manifest["sweep_count"] <= 10
         assert "constants" not in manifest
+        assert manifest["smallness_threshold"] == smallness_threshold(1.5, 1.0)
         assert manifest["config"]["oracle_dt"] is None and manifest["oracle_distance"] is None
         series = (out / "series.csv").read_text().splitlines()
         assert series[0].startswith("t,omega_l2,j_l2")
@@ -135,6 +137,15 @@ class TestSimulate:
         nodes = len(manifest["config"]["mesh"]["nodes"])
         assert len((out / "series.csv").read_text().splitlines()) == 1 + nodes
         assert np.isfinite(read_field(out / f"omega_{nodes - 1:04d}.mhf").values).all()
+
+    def test_no_smallness_threshold_outside_its_region(self, tmp_path, capsys):
+        # (p, q) = (2.2, 0.5) passes the config's region check but not the threshold's
+        exponents = {"p": 2.2, "q": 0.5, "p0": 1.25, "q0": 0.5}
+        path, _ = _config(tmp_path, grid={"n": 16, "l": 2 * math.pi}, exponents=exponents,
+                          mesh={"horizon": 0.25, "num_nodes": 3, "spacing": "uniform"})
+        assert main(["simulate", "--config", str(path)]) == 0
+        manifest = json.loads((tmp_path / "out" / "manifest.json").read_text())
+        assert manifest["smallness_threshold"] is None
 
     def test_manifest_records_ratios_and_bounds(self, tmp_path, capsys):
         path, _ = _config(
@@ -440,9 +451,11 @@ class TestNorms:
 
 def test_import_loads_no_quadrature_or_root_finder_and_starts_no_thread():
     # scipy.integrate and scipy.optimize are imported by the theory functions
-    # that use them; together they were most of the CLI's import time
+    # that use them; together they were most of the CLI's import time.  The
+    # smallness threshold, which every simulate manifest records, needs neither
     code = (
         "import sys, threading, mhdlab.cli\n"
+        "mhdlab.cli.smallness_threshold(1.5, 1.0)\n"
         "print(sorted(m for m in sys.modules if m.startswith(('scipy.integrate', 'scipy.optimize'))))\n"
         "print(threading.active_count())"
     )

@@ -6,12 +6,16 @@ import warnings
 import numpy as np
 import pytest
 
-from mhdlab.fields import ScalarField, VectorField, lp_norm
+from scipy import fft as sfft
+
+from mhdlab.fields import ScalarField, VectorField, lp_norm, make_grid
 from mhdlab.kernels import gaussian_bump
 from mhdlab.mild import TimeMesh, heat_flow_trace
 from mhdlab.morrey import (
     BallSampling,
     MorreyParams,
+    _ball_kernel,
+    _ball_sums,
     _sup_weighted,
     _time_lp,
     ball_cell_count,
@@ -25,7 +29,7 @@ from mhdlab.morrey import (
 from mhdlab.verify import GOLDEN
 
 from .conftest import band_limited_scalar
-from .oracles import ball_count_direct, constant_field_norm, fine_radii, morrey_direct
+from .oracles import ball_count_direct, ball_sums_full, constant_field_norm, fine_radii, morrey_direct
 
 
 class TestParams:
@@ -86,6 +90,58 @@ class TestConstantFields:
     def test_cell_count_matches_direct(self, grid32):
         for r in BallSampling().radii(grid32):
             assert ball_cell_count(grid32, r) == ball_count_direct(grid32, r)
+
+
+def _ball_sums_at(g, grid, r, stride):
+    ghat = sfft.rfftn(g, axes=(-3, -2, -1))
+    return _ball_sums(g, ghat, _ball_kernel(grid.n, grid.l, r), stride)
+
+
+class TestBallSums:
+    @pytest.mark.parametrize("n", [8, 16, 32, 64, 128])
+    @pytest.mark.parametrize("stack", [1, 2])
+    def test_fold_matches_the_full_inverse(self, n, stack):
+        grid = make_grid(n, 2 * math.pi)
+        g = np.random.default_rng(n + stack).random((stack, n, n, n))
+        strides = (2, 1) if n <= 32 else (2,)
+        for r in BallSampling(radii_per_octave=2 if n <= 32 else 1).radii(grid):
+            for st in strides:
+                got = _ball_sums_at(g, grid, r, st)
+                want = ball_sums_full(g, grid, r, st)
+                assert got.shape == want.shape
+                for a, b in zip(got, want):
+                    assert np.abs(a - b).max() <= 1e-14 * np.abs(b).max()
+
+    def test_strides_agree_bitwise_at_shared_centres(self, grid32):
+        n = grid32.n
+        g = np.random.default_rng(7).random((2, n, n, n))
+        for r in BallSampling(radii_per_octave=2).radii(grid32):
+            full = np.full((2, n, n, n), np.nan)
+            for st in (1, 2, 3, 4, 6):
+                sums = _ball_sums_at(g, grid32, r, st)
+                view = full[:, ::st, ::st, ::st]
+                seen = ~np.isnan(view)
+                assert np.array_equal(view[seen], sums[seen]), (r, st)
+                view[~seen] = sums[~seen]
+
+    def test_block_balls_are_direct_sums(self, grid16):
+        # radius h holds the centre cell, radius 2h the 3x3x3 block
+        n = grid16.n
+        g = np.random.default_rng(8).random((2, n, n, n))
+        radii = BallSampling().radii(grid16)
+        assert [ball_count_direct(grid16, r) for r in radii[:2]] == [1, 27]
+        assert [_ball_kernel(n, grid16.l, r)[2] for r in radii] == [0, 1] + [None] * (len(radii) - 2)
+        o = np.minimum(np.arange(n), n - np.arange(n))
+        for r in radii[:2]:
+            direct = np.zeros_like(g)
+            for d in np.argwhere(o[:, None, None] ** 2 + o[None, :, None] ** 2 + o[None, None, :] ** 2
+                                 < (r / grid16.spacing) ** 2):
+                direct += np.roll(g, tuple(-np.where(d > n // 2, d - n, d)), axis=(1, 2, 3))
+            for st in (1, 2, 3):
+                got = _ball_sums_at(g, grid16, r, st)
+                want = direct[:, ::st, ::st, ::st]
+                assert np.abs(got - want).max() <= 1e-15 * np.abs(want).max()
+        assert np.array_equal(_ball_sums_at(g, grid16, radii[0], 2), g[:, ::2, ::2, ::2])
 
 
 class TestAgainstBruteForce:
