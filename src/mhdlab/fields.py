@@ -368,6 +368,15 @@ def gradient(f: ScalarField) -> VectorField:
     return VectorField(f.grid, _inv(1j * kd * fh[None]))
 
 
+def _advection(a: np.ndarray, bh: np.ndarray, grid: Grid) -> np.ndarray:
+    """(a . grad) b in physical space (not yet dealiased), from ``a`` and the half spectrum of ``b``."""
+    kd = _tables(grid)["kd"]
+    out = np.zeros_like(a)
+    for i in range(3):
+        out += a[i] * _inv(1j * kd[i] * bh)  # a_i d b_m / d x_i for all m
+    return out
+
+
 def _k_dot(vh: np.ndarray, kd: np.ndarray) -> np.ndarray:
     """``kd . vh`` for a vector spectrum and the ``kd`` table of its layout: the divergence spectrum over ``i``."""
     return kd[0] * vh[0] + kd[1] * vh[1] + kd[2] * vh[2]

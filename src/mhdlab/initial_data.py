@@ -148,6 +148,8 @@ def _gaussian_vortex_ring(spec: dict, grid: Grid) -> np.ndarray:
 
 def _check_ring(where: str, spec: dict, grid: Grid) -> None:
     radius, core = spec["radius"], spec["core_width"]
+    if not radius > 0:
+        raise ValueError(f"{where}radius must be positive, got {radius}")
     if core < 4 * grid.spacing:
         raise ValueError(f"{where}core_width {core} is below 4 grid spacings ({4 * grid.spacing}); too thin to resolve")
     # 6 cores of clearance puts the boundary magnitude near the 1e-8 contract

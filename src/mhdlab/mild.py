@@ -60,6 +60,7 @@ from .fields import (
     Grid,
     ScalarField,
     VectorField,
+    _advection,
     _cube_fwd,
     _cube_inv,
     _cube_tables,
@@ -254,15 +255,6 @@ def _flux_hat(u: np.ndarray, w: np.ndarray, b: np.ndarray, j: np.ndarray, grid: 
             kd[0] * h02 + kd[1] * h12,
         ]
     )
-
-
-def _advection(a: np.ndarray, bh: np.ndarray, grid: Grid) -> np.ndarray:
-    """(a . grad) b in physical space (not yet dealiased), from ``a`` and the half spectrum of ``b``."""
-    kd = _tables(grid)["kd"]
-    out = np.zeros_like(a)
-    for i in range(3):
-        out += a[i] * _inv(1j * kd[i] * bh)  # a_i d b_m / d x_i for all m
-    return out
 
 
 def _advective_difference(u: np.ndarray, b: np.ndarray, grid: Grid) -> np.ndarray:
@@ -572,7 +564,6 @@ def reference_timestepper(
     j0: VectorField,
     mesh: TimeMesh,
     dt: float,
-    nonlinear: bool = True,
 ) -> MhdTrace:
     """Integrating-factor Heun integration of the evolution system, node-aligned.
 
@@ -589,9 +580,6 @@ def reference_timestepper(
     k2 = _cube_tables(grid)["k2"]
 
     def nonlin(wh: np.ndarray, jh: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        if not nonlinear:
-            z = np.zeros_like(wh)
-            return z, z
         flux, source = _forcing_hats(wh, jh, grid)
         return -flux, -source
 

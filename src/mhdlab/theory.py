@@ -2,7 +2,8 @@
 the vector-calculus identities used to close the estimates.
 
 Region membership follows the defining inequalities literally, with exact
-comparisons (no epsilon padding).  The smallness threshold reads three gains,
+comparisons (no epsilon padding); only a witness's closed range bounds admit
+round-off.  The smallness threshold reads three gains,
 constants that the analysis leaves unspecified; a frozen
 :class:`ConstantsLedger` holds them (1 by default) with one provenance tag.
 """
@@ -18,6 +19,7 @@ import numpy as np
 from .fields import (
     ScalarField,
     VectorField,
+    _advection,
     _dealias_values,
     _fwd,
     _same_grid,
@@ -25,7 +27,6 @@ from .fields import (
     divergence,
     gradient,
 )
-from .mild import _advection
 
 
 # ---------------------------------------------------------------------------
@@ -216,21 +217,26 @@ def e2_residuals(rq: RegionQuery, w: E2Witness) -> dict[str, float]:
     return {name: abs(r) for name, r in zip(names, _e2_signed(rq, w))}
 
 
+#: largest residual a witness of :func:`e2_witness_search` may leave, and the
+#: slack its closed range bounds allow
+_WITNESS_TOL = 1e-9
+
+
 def e2_witness_in_range(rq: RegionQuery, w: E2Witness) -> bool:
-    """Range constraints on a witness: exponent intervals and both unit-window gaps."""
+    """Range constraints on a witness: exponent intervals and both unit-window gaps.
+
+    Closed lower bounds admit ``-_WITNESS_TOL``: the canonical witness sits on ``q1 - q2 = 0``.
+    """
     pp = _conjugate(rq.p)
+    low = -_WITNESS_TOL
     return (
-        0 <= w.q2 < 3
-        and 0 <= w.q3 < 3
+        low <= w.q2 < 3
+        and low <= w.q3 < 3
         and 1 < w.p_tilde < min(rq.p, pp)
         and 0 < w.theta < 1
-        and 0 <= rq.q1 - rq.q0_tilde < 1
-        and 0 <= rq.q1 - w.q2 < 1
+        and low <= rq.q1 - rq.q0_tilde < 1
+        and low <= rq.q1 - w.q2 < 1
     )
-
-
-#: largest residual a witness of :func:`e2_witness_search` may leave
-_WITNESS_TOL = 1e-9
 
 
 def _witness_valid(rq: RegionQuery, w: E2Witness) -> bool:
@@ -241,37 +247,31 @@ def _witness_valid(rq: RegionQuery, w: E2Witness) -> bool:
 
 
 def e2_witness_search(rq: RegionQuery) -> E2Witness | None:
-    """Search the one-parameter family for auxiliary exponents closing the region system.
+    """Auxiliary exponents closing the region system: the smallest admissible root of one quadratic.
 
-    After eliminating ``p_tilde``, ``theta`` and ``q2`` in terms of ``q3``, two
-    residual equations remain; the scan walks ``q3`` through [0, 3), bisects
-    each sign change, and returns the first parameter value satisfying both
-    residuals within ``_WITNESS_TOL`` (or None).  Absence of a witness is a valid
-    outcome, not an error.
+    With ``p_tilde``, ``theta`` and ``q2`` eliminated, the q3 and weight
+    identities are quadratics in ``q3`` over ``p (p-1) (q3-3)`` whose numerators
+    differ by ``p (q0_tilde-1) (q3+p-3)``.  Their one common root for
+    ``q0_tilde != 1``, ``3 - p``, gives ``theta = 1``, out of range; so the real
+    roots in [0, 3) of the q3 numerator are tried in ascending order, and None
+    is returned if the residuals and ranges accept none.  Absence of a witness
+    is a valid outcome, not an error.
     """
-    from scipy.optimize import brentq  # imported on use, like quad in _split_beta
-
     if not region_e1(rq.p, rq.q, rq.p0, rq.q0):
         raise ValueError("base exponents (p, q, p0, q0) are outside the admissible region")
     if not 0 <= rq.q1 - rq.q0_tilde < 1:
         raise ValueError(f"need 0 <= q1 - q0_tilde < 1, got {rq.q1 - rq.q0_tilde}")
 
-    def resid_pair(q3):  # a float or an array of them
-        return _e2_signed(rq, _derive_from_q3(rq, q3))[3:]
-
-    # Roots may sit on the boundary of the admissible ranges, so sign changes
-    # are located over the whole computable interval and only the roots
-    # themselves are range-validated.
-    grid = np.linspace(0.0, 3.0, 10_000, endpoint=False)
-    pairs = np.stack(resid_pair(grid), axis=1)
-    candidates = [float(g) for g in grid[np.all(np.abs(pairs) <= _WITNESS_TOL, axis=1)]]
-    for which in (0, 1):
-        resid = lambda x: resid_pair(x)[which]  # noqa: E731
-        vals = pairs[:, which]
-        candidates += [float(g) for g in grid[:-1][vals[:-1] == 0.0]]
-        for i in np.flatnonzero(vals[:-1] * vals[1:] < 0):
-            candidates.append(float(brentq(resid, grid[i], grid[i + 1], xtol=1e-14)))
-    for q3 in sorted(set(candidates)):
+    p, q, q1 = rq.p, rq.q, rq.q1
+    a = (p - 1.0) ** 2
+    b = -p * p * q1 - 4.0 * p * p + 2.0 * p * q1 + 7.0 * p - q - 3.0
+    c = 4.0 * p * p * q1 - p * q - 6.0 * p * q1 + 3.0 * q
+    disc = b * b - 4.0 * a * c
+    if disc < 0:
+        return None
+    t = -0.5 * (b + math.copysign(math.sqrt(disc), b))  # no cancellation against b
+    roots = (t / a, c / t) if t else (0.0,)  # t = 0 only for b = c = 0
+    for q3 in sorted(r for r in roots if 0 <= r < 3):
         w = _derive_from_q3(rq, q3)
         if _witness_valid(rq, w):
             return w

@@ -21,10 +21,11 @@ from .fields import (
     curl,
     divergence,
     lp_norm,
+    make_grid,
     zero_vector,
 )
 from .initial_data import _finalize, _noise_hat
-from .kernels import biot_savart, gaussian_bump
+from .kernels import biot_savart, gaussian_bump, riesz_potential
 from .mild import current_source, stretching_form, vorticity_flux
 from .morrey import (
     MorreyParams,
@@ -69,8 +70,6 @@ def _finish(suite: str, checks: list[dict]) -> dict:
 
 
 def _default_grid():
-    from .fields import make_grid
-
     return make_grid(32, 2 * math.pi)
 
 
@@ -293,8 +292,6 @@ def suite_props() -> dict:
     checks.append(_check("biot_savart_q3", bs3, PINNED_BOUNDS["biot_savart_q3"]))
     checks.append(_check("biot_savart_q15", bs15, PINNED_BOUNDS["biot_savart_q15"]))
     checks.append(_check("biot_savart_supnorm", bs_sup, PINNED_BOUNDS["biot_savart_supnorm"]))
-
-    from .kernels import riesz_potential
 
     r0 = r1 = 0.0
     for f in corpus:

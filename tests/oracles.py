@@ -11,6 +11,7 @@ from scipy import fft as sfft
 
 from mhdlab.fields import Field, Grid, ScalarField, _fwd, _inv, _magnitude_values, _tables
 from mhdlab.morrey import MorreyParams
+from mhdlab.theory import E2Witness, RegionQuery, _derive_from_q3, _witness_valid
 
 
 def fwd_full(values: np.ndarray) -> np.ndarray:
@@ -223,3 +224,42 @@ def gaussian_bump_direct(grid, sigma: float, center: tuple[float, float, float] 
                 d3 = (x3 - c[2] - m3 * grid.l) ** 2
                 out += np.exp(-(d1 + d2 + d3) / (2.0 * sigma**2))
     return ScalarField(grid, amp * out)
+
+
+def e2_witness_scan(rq: RegionQuery) -> E2Witness | None:
+    """Extended-region witness by a scan: the reference for the closed form of the search.
+
+    Evaluates the q3 and weight identities, with ``p_tilde``, ``theta`` and
+    ``q2`` eliminated, on 10 000 values of ``q3`` in [0, 3), bisects every sign
+    change of either one with ``brentq`` and returns the smallest root that
+    the package's residual and range checks accept (or None).
+    """
+    from scipy.optimize import brentq
+
+    p, q, q1, q0t = rq.p, rq.q, rq.q1, rq.q0_tilde
+    pp = p / (p - 1.0)
+
+    def resid_pair(q3):  # a float or an array of them
+        p_tilde = 1.0 / (1.0 / pp + 1.0 / (3.0 - q3))
+        theta = (1.0 / p_tilde - 1.0 / p) / (1.0 - 1.0 / p)
+        q2 = q3 / pp + q / p
+        r_q3 = q3 / p_tilde - (q1 * theta + (q / p) * (1.0 - theta))
+        r_weight = (q2 - q0t + 1.0) / 2.0 - (
+            (q1 - q0t) / 2.0 * theta + (2.0 * p - 3.0 + q) / (2.0 * p) * (2.0 - theta)
+        )
+        return r_q3, r_weight
+
+    grid = np.linspace(0.0, 3.0, 10_000, endpoint=False)
+    pairs = np.stack(resid_pair(grid), axis=1)
+    candidates = [float(g) for g in grid[np.all(np.abs(pairs) <= 1e-9, axis=1)]]
+    for which in (0, 1):
+        vals = pairs[:, which]
+        candidates += [float(g) for g in grid[:-1][vals[:-1] == 0.0]]
+        for i in np.flatnonzero(vals[:-1] * vals[1:] < 0):
+            root = brentq(lambda x: resid_pair(x)[which], grid[i], grid[i + 1], xtol=1e-14)
+            candidates.append(float(root))
+    for q3 in sorted(set(candidates)):
+        w = _derive_from_q3(rq, q3)
+        if _witness_valid(rq, w):
+            return w
+    return None

@@ -104,6 +104,14 @@ class TestVortexRing:
         with pytest.raises(ValueError, match="4 grid spacings"):
             generate_initial_data(spec, grid32)
 
+    @pytest.mark.parametrize("radius", [-0.3, 0.0, -1.0])
+    def test_rejects_nonpositive_radius(self, grid64, radius):
+        spec = {"family": "gaussian_vortex_ring", "radius": radius, "core_width": 0.4}
+        with pytest.raises(ValueError, match=r"^data\.radius must be positive"):
+            read_data_spec(spec, grid64)
+        with pytest.raises(ValueError, match=r"^data\.omega\.radius must be positive"):
+            generate_initial_data({"omega": spec}, grid64)
+
     def test_rejects_boundary_contact(self, grid32):
         spec = {"family": "gaussian_vortex_ring", "radius": 2.8, "core_width": 0.9}
         with pytest.raises(ValueError, match="decay"):

@@ -486,7 +486,7 @@ class TestReferenceTimestepper:
         w0, j0 = _canonical_data(grid32)
         mesh = TimeMesh.uniform(1.0, 5)
         dt = 1.0 / max_retained_k2(grid32)
-        trace = reference_timestepper(w0, j0, mesh, dt=dt, nonlinear=False)
+        trace = reference_timestepper(w0, j0, mesh, dt=dt)
         for t, w in zip(mesh.nodes, trace.omega):
             expected = heat_propagate(w0, t)
             assert rel_max_err(w.values, expected.values) <= 1e-10

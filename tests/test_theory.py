@@ -10,8 +10,6 @@ from mhdlab.theory import (
     ConstantsLedger,
     E2Witness,
     RegionQuery,
-    _derive_from_q3,
-    _e2_signed,
     beta_C,
     beta_time_integral,
     cor1_recursion,
@@ -28,6 +26,7 @@ from mhdlab.theory import (
 from mhdlab.verify import REGION_TABLE, _WITNESS_PAIRS
 
 from .conftest import solenoidal_vector
+from .oracles import e2_witness_scan
 
 
 class TestBetaConstant:
@@ -153,6 +152,16 @@ class TestRegions:
         assert region_a1(1.5, 1.0) and region_a2(1.5, 1.0)
 
 
+def _admissible_bases(rng, count: int, q_range: tuple[float, float]) -> list[tuple[float, float, float, float]]:
+    """``count`` uniformly drawn base tuples ``(p, q, p0, 3 - 2 p0)`` that :func:`region_e1` admits."""
+    out = []
+    while len(out) < count:
+        p, q, p0 = float(rng.uniform(1.0, 2.0)), float(rng.uniform(*q_range)), float(rng.uniform(1.0, 1.5))
+        if region_e1(p, q, p0, 3.0 - 2.0 * p0):
+            out.append((p, q, p0, 3.0 - 2.0 * p0))
+    return out
+
+
 class TestWitnessSearch:
     def test_reduction_closed_form(self):
         for p, q in _WITNESS_PAIRS:
@@ -166,13 +175,36 @@ class TestWitnessSearch:
             assert e2_witness_in_range(rq, w)
             assert max(e2_residuals(rq, w).values()) <= 1e-9
 
-    def test_scan_on_an_array_equals_the_scalar_loop(self):
-        # the search evaluates the residual pair on its whole scan grid at once
-        grid = np.linspace(0.0, 3.0, 10_000, endpoint=False)
-        for p, q in _WITNESS_PAIRS:
-            rq = RegionQuery(p=p, q=q, p0=1.0, q0=1.0, q0_tilde=1.0, q1=q)
-            loop = np.array([_e2_signed(rq, _derive_from_q3(rq, g))[3:] for g in grid])
-            assert np.array_equal(np.stack(_e2_signed(rq, _derive_from_q3(rq, grid))[3:], axis=1), loop)
+    def test_every_canonical_query_has_the_witness_q3_equal_q(self):
+        # the canonical witness sits on the closed bound q1 - q2 = 0, where round-off falls either side
+        queries = [
+            RegionQuery(p, q, p0, q0, q0_tilde=1.0, q1=q)
+            for p, q, p0, q0 in _admissible_bases(np.random.default_rng(5), 1000, q_range=(1.0, 2.0))
+        ]
+        queries.append(RegionQuery(1.21721140224978, 1.600947369400297, 1.192465628312987,
+                                   0.615068743374026, 1.0, 1.600947369400297))
+        for rq in queries:
+            w = e2_witness_search(rq)
+            assert w is not None, rq
+            assert abs(w.q3 - rq.q) <= 1e-9, rq
+
+    def test_closed_form_matches_the_scan_off_the_boundary(self):
+        rng = np.random.default_rng(6)
+        found = 0
+        for i, (p, q, p0, q0) in enumerate(_admissible_bases(rng, 2000, q_range=(0.0, 3.0))):
+            if i % 2:  # the canonical q0_tilde with q1 away from q
+                q0_tilde, q1 = 1.0, float(rng.uniform(1.0, 2.0))
+            else:
+                q0_tilde = float(rng.uniform(0.0, 3.0))
+                q1 = q0_tilde + float(rng.uniform(0.0, 1.0))
+            rq = RegionQuery(p, q, p0, q0, q0_tilde, q1)
+            w, ref = e2_witness_search(rq), e2_witness_scan(rq)
+            assert (w is None) == (ref is None), rq
+            if w is not None:
+                found += 1
+                assert q0_tilde == 1.0
+                assert abs(w.q3 - ref.q3) <= 1e-9, rq
+        assert found > 100
 
     def test_canonical_theta(self):
         rq = RegionQuery(p=1.5, q=1.0, p0=1.0, q0=1.0, q0_tilde=1.0, q1=1.0)
