@@ -200,14 +200,22 @@ def _series_csv(nodes, omega, current, sem: WeightedSeminorms, p: float, q: floa
 
 
 def _write_run(exp: Experiment, run: Run) -> None:
-    """Write series.csv, the snapshots and manifest.json to ``exp.output_dir``; raise first if a node is not finite."""
+    """Write series.csv, the snapshots and manifest.json to ``exp.output_dir``, one node's fields at a time.
+
+    A first pass forms every node's vorticity and current, which raises
+    :class:`DivergenceError` before any file is written if one is not finite,
+    and builds the series from them; a second forms them again to write the
+    snapshots.  Neither holds more than one node's physical fields.
+    """
     out_dir = exp.output_dir
-    omega, current = run.trace.omega, run.trace.current
+    trace, nodes = run.trace, range(len(exp.mesh.nodes))
+    omega = (trace.node_field("omega", m) for m in nodes)
+    current = (trace.node_field("current", m) for m in nodes)
     series = _series_csv(exp.mesh.nodes, omega, current, run.seminorms, exp.exponents["p"], exp.exponents["q"])
     (out_dir / "series.csv").write_text(series, encoding="utf-8")
-    for m, (w, j) in enumerate(zip(omega, current)):
-        write_field(out_dir / f"omega_{m:04d}.mhf", w)
-        write_field(out_dir / f"current_{m:04d}.mhf", j)
+    for m in nodes:
+        write_field(out_dir / f"omega_{m:04d}.mhf", trace.node_field("omega", m))
+        write_field(out_dir / f"current_{m:04d}.mhf", trace.node_field("current", m))
 
     report = run.report
     p, q = exp.exponents["p"], exp.exponents["q"]

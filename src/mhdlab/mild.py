@@ -26,9 +26,11 @@ recursion advances the Duhamel integral node by node,
 multiplier of the step ``h = t_m - t_{m-1}`` and ``A(h)``, ``B(h)`` fold the
 Gauss-Legendre weights of the linearly interpolated forcing over that step,
 so every mesh, graded ones included, gets the same quadrature as the direct
-sum over all earlier subintervals.  The forcing of a node is computed from
-``u, w, b, j``, one inverse transform of a cube each, with one forward
-transform per product, and dropped after the next step.  One writer puts
+sum over all earlier subintervals.  The forcing of a node is computed in
+Elsasser form, from ``z+- = u +- b`` alone: one inverse transform of each of
+their cubes, and one forward transform per product ``z-_r z+_k``, formed one
+row ``r`` at a time (:func:`_forcing_hats`).  It is dropped after the next
+step.  One writer puts
 ``exp(-t_m |k|^2) data - acc_m`` into the new trace: the zeroth iterate is
 the writer with zero integrals, a sweep the writer over the recursion.  Node
 0 of every trace holds the initial spectra, so a sweep reads its data there.
@@ -39,13 +41,16 @@ The forcings of the nodes are independent, so they stream in node order from
 default the CPUs the process may use).  The recursion and the checks stay on
 the calling thread, so the trace is the same for any thread count.
 
-Solenoidality holds by construction (the flux is the divergence of an
-antisymmetric tensor, the source a curl), so it is checked once per initial
+Solenoidality holds by construction (flux and source are half the sum and
+half the difference of two curls), so it is checked once per initial
 datum and in :meth:`MhdTrace.validate`; every new spectrum is checked finite.
 
-The current source is evaluated as ``-curl curl(dealias(u x b))``, which equals
-the curl of the dealiased ``(u.grad)b - (b.grad)u`` for band-limited solenoidal
-``u, b``; the gradient forms survive as the test oracle :func:`stretching_form`.
+The public :func:`vorticity_flux` and :func:`current_source` keep the
+``u, w, b, j`` form: the flux as the divergence of an antisymmetric tensor,
+the current source as ``-curl curl(dealias(u x b))``, which equals the curl of
+the dealiased ``(u.grad)b - (b.grad)u`` for band-limited solenoidal ``u, b``.
+They are the oracles of the Elsasser kernel, and the gradient forms survive as
+their own test oracle :func:`stretching_form`.
 """
 
 from __future__ import annotations
@@ -68,6 +73,7 @@ from .fields import (
     _dealias_values,
     _fwd,
     _inv,
+    _k_dot,
     _same_grid,
     _tables,
     _to_cube,
@@ -120,6 +126,10 @@ class TimeMesh:
         return i
 
 
+#: the fields of a trace, in the order of the first axis of its spectra
+_FIELDS = ("omega", "current")
+
+
 @dataclass(frozen=True)
 class MhdTrace:
     """Vorticity and current at every mesh node, held on the 2/3-rule cube of their spectra.
@@ -134,9 +144,9 @@ class MhdTrace:
     ``spectra`` is a read-only view: the array passed in stays as writeable as
     it was, and is not copied when it is already complex128.  Node 0 holds
     the initial data, from which :func:`picard_sweep` starts.  The physical
-    fields :attr:`omega` and :attr:`current` are formed on each access, one
-    inverse transform per node; velocity and magnetic field are their
-    ``biot_savart`` images.
+    fields are formed on each access, one inverse transform per node:
+    :meth:`node_field` forms one node's, :attr:`omega` and :attr:`current`
+    every node's; velocity and magnetic field are their ``biot_savart`` images.
     """
 
     mesh: TimeMesh
@@ -155,27 +165,27 @@ class MhdTrace:
     @property
     def omega(self) -> tuple[VectorField, ...]:
         """Vorticity at every node; raises :class:`DivergenceError` if a node is not finite."""
-        return self._fields(0, "omega")
+        return tuple(self.node_field("omega", m) for m in range(len(self.mesh.nodes)))
 
     @property
     def current(self) -> tuple[VectorField, ...]:
         """Current density at every node; raises :class:`DivergenceError` if a node is not finite."""
-        return self._fields(1, "current")
+        return tuple(self.node_field("current", m) for m in range(len(self.mesh.nodes)))
 
-    def _fields(self, which: int, what: str) -> tuple[VectorField, ...]:
-        out = []
-        for t, cube in zip(self.mesh.nodes, self.spectra[which]):
-            values = _cube_inv(cube, self.grid.n)
-            _require_finite(f"{what} at t = {t}", values)
-            out.append(VectorField(self.grid, values))
-        return tuple(out)
+    def node_field(self, name: str, m: int) -> VectorField:
+        """The ``"omega"`` or ``"current"`` field at node ``m``, from one inverse transform of its cube.
+
+        Raises :class:`DivergenceError` if its values are not finite.
+        """
+        values = _cube_inv(self.spectra[_FIELDS.index(name), m], self.grid.n)
+        _require_finite(f"{name} at t = {self.mesh.nodes[m]}", values)
+        return VectorField(self.grid, values)
 
     def validate(self) -> None:
         """Check the stored spectra: every vorticity and current node finite, divergence-free and mean-free."""
-        for which, name in enumerate(("omega", "current")):
-            for m, (t, cube) in enumerate(zip(self.mesh.nodes, self.spectra[which])):
-                values = _cube_inv(cube, self.grid.n)
-                _require_finite(f"{name} at t = {t}", values)
+        for which, name in enumerate(_FIELDS):
+            for m, cube in enumerate(self.spectra[which]):
+                values = self.node_field(name, m).values
                 _require_solenoidal(values, cube, self.grid, f"node {m}: {name}")
 
 
@@ -270,11 +280,30 @@ def _source_hat(u: np.ndarray, b: np.ndarray, grid: Grid) -> np.ndarray:
 
 
 def _forcing_hats(wh: np.ndarray, jh: np.ndarray, grid: Grid) -> tuple[np.ndarray, np.ndarray]:
-    """Flux and current-source cubes of one node, from its vorticity and current cubes."""
+    """Flux and current-source cubes of one node, from its vorticity and current cubes, in Elsasser form.
+
+    With ``z+- = u +- b`` the curl inversions of ``w +- j``, the flux is
+    ``(F+ + F-)/2`` and the source ``(F+ - F-)/2``, where
+    ``F+ = curl((z-.grad) z+)`` and ``F- = curl((z+.grad) z-)``.  Both
+    advections are divergences of the one dealiased tensor
+    ``M[r, k] = z-_r z+_k``: ``(z-.grad) z+`` is ``i sum_r k_r M[r, :]`` and
+    ``(z+.grad) z-`` is ``i sum_k k_k M[:, k]``.  So only ``z+-`` are formed
+    in physical space (6 inverse scalar transforms), and ``M`` one row at a
+    time (3 forward transforms each), which keeps one node's working set at
+    two physical vector fields and one row of products.  Equal to
+    ``_flux_hat(u, w, b, j)`` and ``_source_hat(u, b)`` up to round-off.
+    """
     tab = _cube_tables(grid)
-    cubes = (_biot_savart_hat(wh, tab), wh, _biot_savart_hat(jh, tab), jh)
-    u, w, b, j = (_cube_inv(h, grid.n) for h in cubes)
-    return _flux_hat(u, w, b, j, grid), _source_hat(u, b, grid)
+    kd = tab["kd"]
+    z_minus, z_plus = (_cube_inv(_biot_savart_hat(h, tab), grid.n) for h in (wh - jh, wh + jh))
+    d_plus = np.zeros_like(wh)
+    d_minus = np.empty_like(wh)
+    for r in range(3):
+        row = _cube_fwd(z_minus[r] * z_plus)
+        d_plus += kd[r] * row
+        d_minus[r] = _k_dot(row, kd)
+    f_plus, f_minus = _curl_hat(1j * d_plus, kd), _curl_hat(1j * d_minus, kd)
+    return 0.5 * (f_plus + f_minus), 0.5 * (f_plus - f_minus)
 
 
 def vorticity_flux(u: VectorField, w: VectorField, b: VectorField, j: VectorField) -> VectorField:

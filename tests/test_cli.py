@@ -8,7 +8,9 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -19,9 +21,11 @@ from mhdlab.cli import main
 from mhdlab.field_io import read_field, write_field
 from mhdlab.fields import ScalarField, make_grid
 from mhdlab.kernels import gaussian_bump
+from mhdlab.mild import DivergenceError
 from mhdlab.morrey import MorreyParams, morrey_norm
 from mhdlab.theory import smallness_threshold
 
+from . import test_mild
 from .oracles import fine_radii, morrey_direct
 
 
@@ -356,6 +360,76 @@ class TestSimulate:
 
     def test_missing_config(self, tmp_path, capsys):
         assert main(["simulate", "--config", str(tmp_path / "nope.json")]) == 1
+
+
+class TestWriteRun:
+    """``simulate``'s writer forms one node's fields at a time."""
+
+    @staticmethod
+    def _run(tmp_path, num_nodes, n=16, out="out"):
+        _, cfg = _config(
+            tmp_path,
+            grid={"n": n, "l": 2 * math.pi},
+            mesh={"horizon": 0.5, "num_nodes": num_nodes, "spacing": "uniform"},
+            data={
+                "omega": {"family": "random_divfree", "seed": 3, "cutoff": 4, "amplitude": 0.5},
+                "j": {"family": "random_divfree", "seed": 4, "cutoff": 4, "amplitude": 0.5},
+            },
+            tolerances={"picard_tol": 1e-8, "max_sweeps": 2},
+            output_dir=str(tmp_path / out),
+        )
+        exp = cli.Experiment.from_config(cfg)
+        exp.output_dir.mkdir()
+        return exp, exp.run()
+
+    def test_outputs_equal_those_of_a_writer_holding_every_node(self, tmp_path):
+        exp, run = self._run(tmp_path, 5)
+        cli._write_run(exp, run)
+        # the reference writer forms every node's fields first
+        ref = tmp_path / "ref"
+        ref.mkdir()
+        omega, current = run.trace.omega, run.trace.current
+        p, q = exp.exponents["p"], exp.exponents["q"]
+        (ref / "series.csv").write_text(
+            cli._series_csv(exp.mesh.nodes, omega, current, run.seminorms, p, q), encoding="utf-8"
+        )
+        for m, (w, j) in enumerate(zip(omega, current)):
+            write_field(ref / f"omega_{m:04d}.mhf", w)
+            write_field(ref / f"current_{m:04d}.mhf", j)
+        names = sorted(path.name for path in ref.iterdir())
+        assert len(names) == 11
+        for name in names:
+            assert (exp.output_dir / name).read_bytes() == (ref / name).read_bytes(), name
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_non_finite_node_writes_nothing(self, tmp_path):
+        # node 1 of the trace is finite on the cube and overflows in physical space
+        _, cfg = _config(tmp_path, grid={"n": 8, "l": 2 * math.pi}, mesh={"horizon": 1.0, "num_nodes": 3})
+        exp = cli.Experiment.from_config(cfg)
+        exp.output_dir.mkdir()
+        trace = test_mild.TestTraceValidation._cosine_node(1e308)
+        norms = SimpleNamespace(omega_norms=(0.0,) * 3, current_norms=(0.0,) * 3)
+        run = cli.Run(sizes={}, trace=trace, report=None, seminorms=norms, oracle_distance=None)
+        with pytest.raises(DivergenceError, match="omega at t = 0.5 is not finite"):
+            cli._write_run(exp, run)
+        assert list(exp.output_dir.iterdir()) == []
+
+    def test_peak_memory_does_not_grow_with_the_node_count(self, tmp_path):
+        # at n = 32 one node's omega and current take 1.5 MB.  A writer holding
+        # every node's peaked at 6.1 MB for M = 3 and 15.5 MB for M = 9; this
+        # one peaks at 4.66 MB for both, 850 bytes apart (longer series and
+        # manifest text), under a margin of 64 kB
+        peaks = []
+        for num_nodes in (3, 9):
+            exp, run = self._run(tmp_path, num_nodes, n=32, out=f"out{num_nodes}")
+            tracemalloc.start()
+            try:
+                cli._write_run(exp, run)
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            peaks.append(peak)
+        assert peaks[1] <= peaks[0] + 64 * 2**10
 
 
 class TestVerify:

@@ -7,13 +7,27 @@ import warnings
 import numpy as np
 import pytest
 
-from mhdlab.fields import ScalarField, VectorField, _fwd, _to_cube, curl, divergence, lp_norm, make_grid
+from mhdlab.fields import (
+    ScalarField,
+    VectorField,
+    _cube_inv,
+    _cube_tables,
+    _fwd,
+    _to_cube,
+    curl,
+    divergence,
+    lp_norm,
+    make_grid,
+)
 from mhdlab.initial_data import generate_initial_data
-from mhdlab.kernels import biot_savart, heat_propagate
+from mhdlab.kernels import _biot_savart_hat, biot_savart, heat_propagate
 from mhdlab.mild import (
     DivergenceError,
     MhdTrace,
     TimeMesh,
+    _flux_hat,
+    _forcing_hats,
+    _source_hat,
     current_source,
     duhamel_integral,
     heat_flow_trace,
@@ -158,6 +172,64 @@ class TestCurrentSource:
         z = _zero(grid32)
         out = stretching_form(u, u, z, z)
         assert np.abs(out.values).max() <= 1e-14 * np.abs(u.values).max()
+
+
+class TestElsasserForcing:
+    """The sweep's kernel ``_forcing_hats`` (Elsasser form) against the ``u, w, b, j`` form."""
+
+    @staticmethod
+    def _cubes(grid, seeds=(21, 22), amplitude=0.5):
+        # cutoff n fills the whole 2/3-rule cube
+        spec = {
+            key: {"family": "random_divfree", "seed": seed, "cutoff": grid.n, "amplitude": amplitude}
+            for key, seed in zip(("omega", "j"), seeds)
+        }
+        return [_to_cube(_fwd(v.values)) for v in generate_initial_data(spec, grid)]
+
+    @staticmethod
+    def _uwbj_form(wh, jh, grid):
+        tab = _cube_tables(grid)
+        cubes = (_biot_savart_hat(wh, tab), wh, _biot_savart_hat(jh, tab), jh)
+        u, w, b, j = (_cube_inv(h, grid.n) for h in cubes)
+        return _flux_hat(u, w, b, j, grid), _source_hat(u, b, grid)
+
+    @pytest.mark.parametrize("n", [8, 16, 32, 64])
+    def test_matches_the_uwbj_form(self, n):
+        # the round-off of the products' spectra is multiplied by |k| (flux)
+        # and |k|^2 (source), so the difference grows like n^2: measured
+        # 5.7e-16, 1.3e-15, 4.5e-15 and 2.4e-14 of the largest coefficient at
+        # n = 8, 16, 32 and 64, and at most 1.1e-17 n^2 over four seed pairs
+        grid = make_grid(n, 2 * math.pi)
+        wh, jh = self._cubes(grid)
+        for want, got in zip(self._uwbj_form(wh, jh, grid), _forcing_hats(wh, jh, grid)):
+            assert rel_max_err(got, want) <= 3e-17 * n**2
+
+    @pytest.mark.parametrize("sign", [1.0, -1.0])
+    def test_alfvenic_data_have_zero_forcing(self, grid16, sign):
+        # omega_0 = +-j_0 makes one Elsasser field zero, so every product
+        # z-_r z+_k is zero and the forcing vanishes exactly: the first sweep
+        # returns the heat flow bit for bit, even for large data
+        spec = {"family": "random_divfree", "seed": 1, "cutoff": 4, "amplitude": 20.0}
+        w0, _ = generate_initial_data(spec, grid16)
+        j0 = VectorField(grid16, sign * w0.values)
+        wh, jh = _to_cube(_fwd(w0.values)), _to_cube(_fwd(j0.values))
+        for hat in _forcing_hats(wh, jh, grid16):
+            assert not np.any(hat)
+        _, report = run_picard(w0, j0, TimeMesh.uniform(1.0, 17), report_seminorms=False)
+        assert report.stop == "converged" and report.deltas == (0.0,)
+
+    def test_working_set_is_under_16_physical_arrays(self, grid32):
+        # z+- (six arrays), one row of products (three) and its transforms:
+        # 15.75 arrays of n^3 doubles measured; the u, w, b, j form took 21.8
+        wh, jh = self._cubes(grid32)
+        _forcing_hats(wh, jh, grid32)  # transform plans and tables are made once
+        tracemalloc.start()
+        try:
+            _forcing_hats(wh, jh, grid32)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 16 * grid32.n**3 * 8
 
 
 class TestDuhamel:
@@ -482,10 +554,11 @@ class TestRunPicard:
 
 
 class TestReferenceTimestepper:
-    def test_linear_regime_matches_heat_flow(self, grid32):
-        w0, j0 = _canonical_data(grid32)
+    def test_linear_regime_matches_heat_flow(self, grid16):
+        # the shear datum's nonlinear terms vanish; n = 16 holds it exactly
+        w0, j0 = _canonical_data(grid16)
         mesh = TimeMesh.uniform(1.0, 5)
-        dt = 1.0 / max_retained_k2(grid32)
+        dt = 1.0 / max_retained_k2(grid16)
         trace = reference_timestepper(w0, j0, mesh, dt=dt)
         for t, w in zip(mesh.nodes, trace.omega):
             expected = heat_propagate(w0, t)
@@ -793,9 +866,10 @@ class TestCubeLayout:
 
     def test_sweep_allocates_no_full_spectrum_trace(self, grid32, monkeypatch):
         # one sweep allocates its new trace (4.0 MB at n = 32, M = 9) and, node by
-        # node, the forcing's working set (four physical fields, their products
-        # and transforms; 6.7 MB measured), so the bound of two traces plus
-        # 6 MB is 14 MB.  A trace of half spectra would take 15 MB alone.
+        # node, the forcing's working set (the two Elsasser fields, one row of
+        # their products and its transforms; 5.2 MB measured, 6.7 MB in the
+        # u, w, b, j form), so the bound of two traces plus 6 MB is 14 MB.
+        # A trace of half spectra would take 15 MB alone.
         monkeypatch.setenv("MHDLAB_THREADS", "1")
         trace = heat_flow_trace(*self._data(grid32), TimeMesh.uniform(0.5, 9))
         tracemalloc.start()
