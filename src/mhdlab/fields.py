@@ -14,6 +14,17 @@ from ``c(-k) == conj(c(k))``.  Both transforms scale inside the FFT
 not scale.  The public :class:`SpectralField` (``to_spectral``,
 ``to_physical``, ``dealias``) is a typed wrapper of the same half spectrum.
 
+Every transform runs on ``numpy.fft``, one axis at a time, in the pass order
+of scipy's multi-axis transforms: forward, the real pass along the last axis
+and then the complex passes along axes -3 and -2; inverse, the complex passes
+along -3 and -2 and then the real pass.  numpy (from 2.0) and scipy run the
+same C++ pocketfft kernel on each line.  Each pass here scales by ``1/n``
+where scipy scales by ``1/n**3`` once; ``n`` is a power of two, so every
+scaling is exact and commutes with the passes' arithmetic, and the results
+are bitwise scipy's unless a value passes through the subnormal range.  The
+Morrey estimator uses the unscaled pair (``norm="backward"``).  scipy is not
+imported: it was most of every command's start-up time and memory.
+
 Band-limited state, such as a stored trace, is kept on the 2/3-rule cube
 ``|k_i| <= n // 3`` alone, of shape ``(..., 2c+1, 2c+1, c+1)`` with
 ``c = n // 3``: :func:`_to_cube` copies it out of a half spectrum, and
@@ -23,13 +34,13 @@ half spectrum: the real pass along the last axis runs on every line, but the
 complex passes along the first two axes run only on the cube's ``c + 1``
 planes of the last axis, the others being zero (inverse) or dropped
 (forward).  They run the passes of :func:`_fwd` and :func:`_inv` in the same
-order, and ``n`` is a power of two, so every scaling is exact and their
-results are bitwise those of ``_to_cube(_fwd(.))`` and of ``_inv`` on the
-cube padded with zeros to a half spectrum.  Below ``n =``
-:data:`PRUNED_FROM` they make those full transforms instead, in one call.
+order, so their results are bitwise those of ``_to_cube(_fwd(.))`` and of
+``_inv`` on the cube padded with zeros to a half spectrum.  Below ``n =``
+:data:`PRUNED_FROM` the forward one makes the full transform instead.
 
-Every transform runs on one FFT worker.  Work that is independent per time
-node runs on :func:`node_map`, whose thread count ``MHDLAB_THREADS`` sets.
+Work that is independent per time node runs on :func:`node_map`, whose
+thread count ``MHDLAB_THREADS`` sets; each transform runs on the thread that
+calls it.
 """
 
 from __future__ import annotations
@@ -42,7 +53,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy import fft as _sfft
 
 
 def _threads() -> int:
@@ -177,6 +187,12 @@ def _tables(grid: Grid):
     return _spectral_tables(grid.n, grid.l)
 
 
+def _cube_rows(n: int) -> tuple[slice, slice]:
+    """The cube's rows of a full axis: the wavenumbers ``0..c``, then ``-c..-1`` (``c = n // 3``)."""
+    c = n // 3
+    return slice(0, c + 1), slice(n - c, n)
+
+
 def _cube_slabs(n: int):
     """The four corner slabs of the 2/3-rule cube, as (cube index, half-spectrum index) pairs.
 
@@ -187,7 +203,7 @@ def _cube_slabs(n: int):
     (``c = n // 3``), the last axis ``0..c``.
     """
     c = n // 3
-    axes = ((slice(0, c + 1), slice(0, c + 1)), (slice(c + 1, 2 * c + 1), slice(n - c, n)))
+    axes = tuple(zip((slice(0, c + 1), slice(c + 1, 2 * c + 1)), _cube_rows(n)))
     last = slice(0, c + 1)
     return [((..., q0, q1, last), (..., h0, h1, last)) for q0, h0 in axes for q1, h1 in axes]
 
@@ -298,49 +314,83 @@ class SpectralField:
         object.__setattr__(self, "coefficients", c)
 
 
-def _fwd(values: np.ndarray) -> np.ndarray:
-    """Forward transform to the half spectrum of per-mode coefficients of exp(i k.x)."""
-    return _sfft.rfftn(values, axes=(-3, -2, -1), norm="forward")
+def _fwd(values: np.ndarray, norm: str = "forward") -> np.ndarray:
+    """Forward transform to the half spectrum of per-mode coefficients of exp(i k.x).
+
+    The real pass runs along the last axis, then the complex passes along
+    axes -3 and -2, in place.  ``norm="backward"`` leaves it unscaled.
+    """
+    hat = np.fft.rfft(values, axis=-1, norm=norm)
+    for axis in (-3, -2):
+        np.fft.fft(hat, axis=axis, norm=norm, out=hat)
+    return hat
 
 
-def _inv(coeffs: np.ndarray) -> np.ndarray:
-    """Inverse of :func:`_fwd`: the real field of a half spectrum."""
+def _inv(coeffs: np.ndarray, norm: str = "forward", overwrite: bool = False) -> np.ndarray:
+    """Inverse of :func:`_fwd` at the same ``norm``: the real field of a half spectrum.
+
+    The complex passes run along axes -3 and -2, then the real pass along the
+    last axis.  With ``overwrite`` the complex passes run in place on
+    ``coeffs``, which must then be a writeable complex128 array.
+    """
     n = coeffs.shape[-2]  # the last axis holds only n//2 + 1 modes
-    return _sfft.irfftn(coeffs, s=(n, n, n), axes=(-3, -2, -1), norm="forward")
+    lines = np.fft.ifft(coeffs, axis=-3, norm=norm, out=coeffs if overwrite else None)
+    np.fft.ifft(lines, axis=-2, norm=norm, out=lines)
+    return np.fft.irfft(lines, n, axis=-1, norm=norm)
 
 
-#: smallest ``n`` whose cube transforms are pruned.  Below it a transform is
-#: bound by the fixed cost of each scipy call, which two node threads pay
-#: under one interpreter lock, so one unpruned call beats two pruned ones
-#: (``BENCH_cube_fft.json``: pruned at n = 16, sweeps and seminorms on two
-#: threads took 13-18 % longer)
+#: smallest ``n`` whose forward cube transform is pruned.  Below it the
+#: separate real pass of each array and the copy of its planes cost more than
+#: the complex passes that pruning saves, most of all on two node threads
+#: (``BENCH_numpy_fft.json``).  The inverse is pruned at every ``n``.
 PRUNED_FROM = 32
 
 
 def _cube_fwd(values: np.ndarray) -> np.ndarray:
-    """``_to_cube(_fwd(values))``, with the complex passes run only on the cube's planes."""
+    """``_to_cube(_fwd(values))``, with the complex passes run only on the cube's lines.
+
+    From ``n =`` :data:`PRUNED_FROM`, each array of the stack takes its real
+    pass alone, and the cube's ``c + 1`` planes of the result are copied
+    into ``lines``, whose memory order is (axis -3, last axis, axis -2).
+    There the lines of both complex passes lie next to each other, and the
+    half spectrum of only one array is held at a time.  The pass along
+    axis -2 runs only on the cube's ``2c + 1`` rows of axis -3.
+    """
     n = values.shape[-1]
     if n < PRUNED_FROM:
         return _to_cube(_fwd(values))
-    planes = _sfft.rfftn(values, axes=(-1,), norm="forward")[..., : n // 3 + 1]
-    return _to_cube(_sfft.fftn(planes, axes=(-3, -2), norm="forward", overwrite_x=True))
+    c = n // 3
+    stack = values.reshape((-1, n, n, n))
+    lines = np.empty((len(stack), n, c + 1, n), dtype=np.complex128)
+    half = np.empty((n, n, n // 2 + 1), dtype=np.complex128)
+    for v, dst in zip(stack, lines):
+        np.fft.rfft(v, axis=-1, norm="forward", out=half)
+        np.copyto(np.swapaxes(dst, -1, -2), half[..., : c + 1])
+    np.fft.fft(lines, axis=-3, norm="forward", out=lines)
+    for rows in _cube_rows(n):
+        block = lines[:, rows]
+        np.fft.fft(block, axis=-1, norm="forward", out=block)
+    cube = _to_cube(np.swapaxes(lines, -1, -2))
+    return cube.reshape(values.shape[:-3] + cube.shape[-3:])
 
 
 def _cube_inv(cube: np.ndarray, n: int) -> np.ndarray:
     """The real values on ``n`` points per axis whose spectrum is ``cube`` and zero outside it.
 
-    Inverse of :func:`_cube_fwd` on band-limited values; from ``n =``
-    :data:`PRUNED_FROM` the complex passes run only on the cube's ``c + 1``
-    planes of the last axis.
+    Inverse of :func:`_cube_fwd` on band-limited values.  The complex passes
+    run only on the cube's ``c + 1`` planes of the last axis, held in the
+    memory order of :func:`_cube_fwd`'s ``lines``; they are copied back to the
+    usual order for the real pass.
     """
-    pruned = n >= PRUNED_FROM
-    planes = np.zeros(cube.shape[:-3] + (n, n, n // 3 + 1 if pruned else n // 2 + 1), dtype=cube.dtype)
+    lines = np.zeros(cube.shape[:-3] + (n, n // 3 + 1, n), dtype=np.complex128)
+    planes = np.swapaxes(lines, -1, -2)
     for q, h in _cube_slabs(n):
         planes[h] = cube[q]
-    if not pruned:
-        return _inv(planes)
-    lines = _sfft.ifftn(planes, axes=(-3, -2), norm="forward", overwrite_x=True)
-    return _sfft.irfftn(lines, s=(n,), axes=(-1,), norm="forward", overwrite_x=True)
+    np.fft.ifft(lines, axis=-3, norm="forward", out=lines)
+    np.fft.ifft(lines, axis=-1, norm="forward", out=lines)
+    planes = np.ascontiguousarray(planes)
+    del lines  # the real pass's output and ``planes`` are the peak
+    return np.fft.irfft(planes, n, axis=-1, norm="forward")
 
 
 def to_spectral(f: ScalarField) -> SpectralField:

@@ -15,10 +15,11 @@ exactly.  Each datum is checked to be resolved there up to round-off, and
 projected onto the cube once.
 
 Every transform between the cube and physical space goes through
-:func:`~mhdlab.fields._cube_inv` or :func:`~mhdlab.fields._cube_fwd`: from
-``n =`` :data:`~mhdlab.fields.PRUNED_FROM` on, their complex passes run only
-on the cube's ``c + 1`` planes of the last axis, without forming a half
-spectrum, and their results are bitwise those of the full transforms.
+:func:`~mhdlab.fields._cube_inv` or :func:`~mhdlab.fields._cube_fwd`: their
+complex passes run only on the cube's ``c + 1`` planes of the last axis (the
+forward one's from ``n =`` :data:`~mhdlab.fields.PRUNED_FROM` on), without
+forming a half spectrum, and their results are bitwise those of the full
+transforms.
 
 A sweep stays on the cube and costs O(M) in the number of nodes.  One
 recursion advances the Duhamel integral node by node,
@@ -295,7 +296,7 @@ def _forcing_hats(wh: np.ndarray, jh: np.ndarray, grid: Grid) -> tuple[np.ndarra
     """
     tab = _cube_tables(grid)
     kd = tab["kd"]
-    z_minus, z_plus = (_cube_inv(_biot_savart_hat(h, tab), grid.n) for h in (wh - jh, wh + jh))
+    z_minus, z_plus = _cube_inv(np.stack([_biot_savart_hat(h, tab) for h in (wh - jh, wh + jh)]), grid.n)
     d_plus = np.zeros_like(wh)
     d_minus = np.empty_like(wh)
     for r in range(3):

@@ -31,7 +31,6 @@ from functools import lru_cache
 from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
-from scipy import fft as _sfft
 
 from . import kernels
 from .fields import (
@@ -40,6 +39,8 @@ from .fields import (
     ScalarField,
     _cube_inv,
     _cube_tables,
+    _fwd,
+    _inv,
     _magnitude_values,
     node_map,
 )
@@ -109,7 +110,7 @@ def _ball_kernel(n: int, l: float, r: float):
     mask = s2 < thr
     count = int(mask.sum())
     half = int(o[mask.any(axis=(1, 2))].max(initial=0))
-    kern = _sfft.rfftn(mask.astype(np.float64))
+    kern = _fwd(mask.astype(np.float64), norm="backward")
     kern.setflags(write=False)
     return kern, count, half if count == (2 * half + 1) ** 3 else None
 
@@ -143,7 +144,7 @@ def _fold(prod: np.ndarray) -> np.ndarray:
     q = q[:, :, :m] + q[:, :, m:]
     f = _flip(m)
     folded = q[..., : m // 2 + 1] + np.conj(q[:, f[:, None], f[None, :], m : m // 2 - 1 : -1])
-    return _sfft.irfftn(folded, s=(m, m, m), axes=(-3, -2, -1), overwrite_x=True) / 8.0
+    return _inv(folded, norm="backward", overwrite=True) / 8.0
 
 
 def _block_sums(g: np.ndarray, half: int, st: int) -> np.ndarray:
@@ -175,7 +176,7 @@ def _ball_sums(g: np.ndarray, ghat: np.ndarray, ball, st: int) -> np.ndarray:
     fold = _fold(prod)
     if st % 2 == 0:
         return fold[:, :: st // 2, :: st // 2, :: st // 2]
-    mass = _sfft.irfftn(prod, s=g.shape[1:], axes=(-3, -2, -1), overwrite_x=True)[:, ::st, ::st, ::st]
+    mass = _inv(prod, norm="backward", overwrite=True)[:, ::st, ::st, ::st]
     mass[:, ::2, ::2, ::2] = fold[:, ::st, ::st, ::st]
     return mass
 
@@ -192,10 +193,10 @@ def _candidates(grid: Grid, mags: np.ndarray, mp: MorreyParams, sampling: BallSa
     takes its largest magnitude below 1, and its candidates are scaled back.
     That bound keeps every transform finite: a spectral value of a ball sum
     is at most ``S`` times the cell count (at most ``n**3``), a fold adds 8
-    of them and its inverse sums ``(n/2)**3`` folded values before it
-    scales, so no partial sum exceeds ``S * n**6``, as for the full inverse
-    on ``n**3`` points.  So a candidate is non-finite only when a magnitude
-    is, or when it exceeds the largest float.
+    of them and its inverse sums at most ``(n/2)**3`` folded values (each
+    pass scales after its sums), so no partial sum exceeds ``S * n**6``, as
+    for the full inverse on ``n**3`` points.  So a candidate is non-finite
+    only when a magnitude is, or when it exceeds the largest float.
     """
     h3 = grid.spacing**3
     with np.errstate(over="ignore"):
@@ -208,7 +209,7 @@ def _candidates(grid: Grid, mags: np.ndarray, mp: MorreyParams, sampling: BallSa
         if e:
             g[i] = np.ldexp(mags[i], -e) ** mp.p * h3
     del mags  # the generator's frame would keep it alive through the radius loop
-    ghat = _sfft.rfftn(g, axes=(-3, -2, -1))
+    ghat = _fwd(g, norm="backward")
     st = sampling.stride
     for r in sampling.radii(grid):
         mass = _ball_sums(g, ghat, _ball_kernel(grid.n, grid.l, r), st)

@@ -24,6 +24,17 @@ def inv_full(coeffs: np.ndarray) -> np.ndarray:
     return sfft.ifftn(coeffs * coeffs.shape[-1] ** 3, axes=(-3, -2, -1)).real
 
 
+def scipy_fwd(values: np.ndarray, norm: str = "forward") -> np.ndarray:
+    """The half spectrum of scipy's ``rfftn`` over the last three axes: the oracle of ``fields._fwd``."""
+    return sfft.rfftn(values, axes=(-3, -2, -1), norm=norm)
+
+
+def scipy_inv(coeffs: np.ndarray, norm: str = "forward", overwrite: bool = False) -> np.ndarray:
+    """scipy's ``irfftn`` of a half spectrum on ``n`` points per axis: the oracle of ``fields._inv``."""
+    n = coeffs.shape[-2]
+    return sfft.irfftn(coeffs, s=(n, n, n), axes=(-3, -2, -1), norm=norm, overwrite_x=overwrite)
+
+
 def from_cube(cube: np.ndarray, n: int) -> np.ndarray:
     """The half spectrum on ``n`` points per axis that holds the 2/3-rule cube ``cube`` and is zero outside it.
 

@@ -523,20 +523,42 @@ class TestNorms:
         assert "offset" in err or "magic" in err or "truncated" in err
 
 
+def _run_python(code: str, cwd=None) -> list[str]:
+    """Standard output lines of ``python -c code`` with the package's source on the path."""
+    src = str(Path(mhdlab.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    out = subprocess.run([sys.executable, "-c", code], env=env, cwd=cwd, capture_output=True, text=True, check=True)
+    return out.stdout.split("\n")
+
+
+#: prints the loaded modules of scipy, whose import was most of the CLI's start-up
+_PRINT_SCIPY = "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
+
+
 def test_import_loads_no_quadrature_or_root_finder_and_starts_no_thread():
-    # scipy.integrate and scipy.optimize are imported by the theory functions
-    # that use them; together they were most of the CLI's import time.  The
+    # the transforms run on numpy.fft; scipy.integrate and scipy.special are
+    # imported by the theory and verify functions that use them.  The
     # smallness threshold, which every simulate manifest records, needs neither
     code = (
         "import sys, threading, mhdlab.cli\n"
         "mhdlab.cli.smallness_threshold(1.5, 1.0)\n"
-        "print(sorted(m for m in sys.modules if m.startswith(('scipy.integrate', 'scipy.optimize'))))\n"
-        "print(threading.active_count())"
+        + _PRINT_SCIPY
+        + "print(threading.active_count())"
     )
-    src = str(Path(mhdlab.__file__).resolve().parents[1])
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
-    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
-    assert out.stdout.split("\n")[:2] == ["[]", "1"]
+    assert _run_python(code)[:2] == ["[]", "1"]
+
+
+def test_simulate_loads_no_scipy(tmp_path):
+    path, _ = _config(
+        tmp_path,
+        grid={"n": 8, "l": 2 * math.pi},
+        mesh={"horizon": 0.1, "num_nodes": 3, "spacing": "uniform"},
+        oracle={"enabled": True, "dt": None},
+    )
+    code = f"import sys, mhdlab.cli\nrc = mhdlab.cli.main(['simulate', '--config', {str(path)!r}])\n" + _PRINT_SCIPY + "print(rc)"
+    lines = _run_python(code, cwd=tmp_path)
+    assert lines[-3:-1] == ["[]", "0"]
+    assert (tmp_path / "out" / "series.csv").exists()
 
 
 def test_benchmark_harness_runs_and_its_span_names_resolve(tmp_path):
