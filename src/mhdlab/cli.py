@@ -22,9 +22,10 @@ Subcommands:
 - ``norms field.mhf --exponents p:lam[,p:lam...]``: norm table as CSV.
 
 The ``MHDLAB_THREADS`` environment variable sets how many threads compute the
-per-node work of a sweep and of the seminorms, whose per-node norms
-``series.csv`` reuses (default: the CPUs the process may use); every output is
-the same for any value.
+per-node work of a sweep and of the seminorms, the calling thread included,
+whose per-node norms ``series.csv`` reuses (default: the CPUs the process may
+use); every output is the same for any value.  Node 0, the initial data, is
+computed once per run.
 """
 
 from __future__ import annotations

@@ -38,8 +38,9 @@ order, so their results are bitwise those of ``_to_cube(_fwd(.))`` and of
 ``_inv`` on the cube padded with zeros to a half spectrum.  Below ``n =``
 :data:`PRUNED_FROM` the forward one makes the full transform instead.
 
-Work that is independent per time node runs on :func:`node_map`, whose
-thread count ``MHDLAB_THREADS`` sets; each transform runs on the thread that
+Work that is independent per time node runs on :func:`node_map`, on
+``MHDLAB_THREADS`` threads: the calling thread computes every T-th task and a
+pool of T - 1 threads the others.  Each transform runs on the thread that
 calls it.
 """
 
@@ -48,7 +49,7 @@ from __future__ import annotations
 import math
 import os
 from collections import deque
-from concurrent.futures import ThreadPoolExecutor, wait
+from concurrent.futures import Future, ThreadPoolExecutor, wait
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -68,20 +69,23 @@ def _threads() -> int:
 
 
 @lru_cache(maxsize=None)
-def _pool(threads: int) -> ThreadPoolExecutor:
-    return ThreadPoolExecutor(threads, thread_name_prefix="mhdlab")
+def _pool(workers: int) -> ThreadPoolExecutor:
+    return ThreadPoolExecutor(workers, thread_name_prefix="mhdlab")
 
 
 def node_map(fn, count: int):
-    """Iterate ``fn(0), ..., fn(count - 1)`` in order, computed on up to T threads.
+    """Iterate ``fn(0), ..., fn(count - 1)`` in order, computed on T threads, the calling one included.
 
     T is ``MHDLAB_THREADS``, by default the CPUs this process may use (``0``
-    counts as 1, a non-integer as the default).  At most T calls are in
-    flight, so a consumer that streams the results holds at most T of them.
-    The calls run under the caller's NumPy floating-point error state, which
-    pool threads do not inherit.  When a call raises, or the consumer stops
-    early, the calls not yet started are cancelled and the running ones are
-    waited for.  ``fn`` must not itself call ``node_map``: the pool is fixed.
+    counts as 1, a non-integer as the default).  Every T-th call runs on the
+    calling thread, when the consumer asks for its result; the others run on
+    a pool of T - 1 threads, submitted at most T calls ahead of the consumer.
+    So at most T calls are in flight, and a consumer that streams the results
+    holds at most T of them.  The calls run under the caller's NumPy
+    floating-point error state, which pool threads do not inherit.  When a
+    call raises, or the consumer stops early, the pool's calls not yet
+    started are cancelled and the running ones are waited for.  ``fn`` must
+    not itself call ``node_map``: the pool is fixed.
     """
     err = np.geterr()
 
@@ -92,23 +96,32 @@ def node_map(fn, count: int):
     threads = _threads()
     if threads == 1:
         return map(task, range(count))
-    return _ordered(_pool(threads), task, count, threads)
+    return _ordered(_pool(threads - 1), task, count, threads)
 
 
 def _ordered(pool: ThreadPoolExecutor, task, count: int, depth: int):
-    """The results of ``task(0..count-1)`` in order, with at most ``depth`` of them submitted at a time."""
-    pending = deque()
+    """The results of ``task(0..count-1)`` in order, ``depth`` of them ahead of the consumer.
+
+    Every ``depth``-th index is left to the calling thread, which computes it
+    while the pool works on the indices submitted after it.
+    """
+    pending = deque()  # a future, or the index the calling thread computes
     try:
         for i in range(count):
-            pending.append(pool.submit(task, i))
+            pending.append(i if i % depth == 0 else pool.submit(task, i))
             if len(pending) == depth:
-                yield pending.popleft().result()
+                yield _result(pending.popleft(), task)
         while pending:
-            yield pending.popleft().result()
+            yield _result(pending.popleft(), task)
     finally:
-        for f in pending:
+        futures = [f for f in pending if isinstance(f, Future)]
+        for f in futures:
             f.cancel()
-        wait(pending)
+        wait(futures)
+
+
+def _result(entry, task):
+    return entry.result() if isinstance(entry, Future) else task(entry)
 
 
 @dataclass(frozen=True)

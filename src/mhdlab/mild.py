@@ -38,9 +38,13 @@ the writer with zero integrals, a sweep the writer over the recursion.  Node
 The Heun stepper, the independent oracle, keeps its own loop.
 
 The forcings of the nodes are independent, so they stream in node order from
-:func:`~mhdlab.fields.node_map`, on up to ``MHDLAB_THREADS`` threads (by
-default the CPUs the process may use).  The recursion and the checks stay on
-the calling thread, so the trace is the same for any thread count.
+:func:`~mhdlab.fields.node_map`, on ``MHDLAB_THREADS`` threads, the calling
+one included (by default the CPUs the process may use).  The recursion and
+the checks stay on the calling thread, so the trace is the same for any
+thread count.  Node 0 holds the initial spectra in every iterate, so
+:func:`run_picard` computes its forcing and its seminorm node norms once per
+run; :func:`picard_sweep` and ``weighted_seminorms`` called alone compute
+them each time.
 
 Solenoidality holds by construction (flux and source are half the sum and
 half the difference of two curls), so it is checked once per initial
@@ -59,6 +63,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -81,7 +86,7 @@ from .fields import (
     node_map,
 )
 from .kernels import _biot_savart_hat, _require_solenoidal
-from .morrey import BallSampling, WeightedSeminorms, weighted_seminorms
+from .morrey import BallSampling, WeightedSeminorms, _datum_norms, _weighted_seminorms
 
 
 @dataclass(frozen=True)
@@ -342,6 +347,12 @@ def stretching_form(u: VectorField, w: VectorField, b: VectorField, j: VectorFie
     return VectorField(grid, _dealias_values(out, grid))
 
 
+@lru_cache(maxsize=None)
+def _gauss_legendre(order: int) -> tuple[tuple[float, float], ...]:
+    """The (abscissa, weight) pairs of the ``order``-point Gauss-Legendre rule on [-1, 1]."""
+    return tuple(zip(*np.polynomial.legendre.leggauss(order)))
+
+
 def _step_multipliers(k2: np.ndarray, h: float, quad_order: int):
     """Multipliers ``E, A, B`` that advance a spectral Duhamel integral over one mesh step.
 
@@ -353,7 +364,7 @@ def _step_multipliers(k2: np.ndarray, h: float, quad_order: int):
     half = 0.5 * h
     a = np.zeros_like(k2)
     b = np.zeros_like(k2)
-    for x, wq in zip(*np.polynomial.legendre.leggauss(quad_order)):
+    for x, wq in _gauss_legendre(quad_order):
         frac = 0.5 * (1.0 + x)
         heat = np.exp(-(half * (1.0 - x)) * k2)
         a += (wq * half * (1.0 - frac)) * heat
@@ -368,13 +379,18 @@ def _duhamel(hats, mesh: TimeMesh, k2: np.ndarray):
     spectrum or cube).  A node's forcing is an array or a tuple of equal
     arrays.  Each step is ``acc <- E acc + A f_prev + B f_next``, taken one
     leading component at a time so the temporaries stay one component large;
-    the same array is yielded every time, updated in place.
+    the same array is yielded every time, updated in place.  The multipliers
+    are reused while consecutive steps have exactly the same length.
     """
+    step = None
     for m, force in enumerate(hats):
         if m == 0:
             acc = np.zeros_like(force)
         else:
-            e, a, b = _step_multipliers(k2, mesh.nodes[m] - mesh.nodes[m - 1], mesh.quad_order)
+            h = mesh.nodes[m] - mesh.nodes[m - 1]
+            if h != step:
+                step = h
+                e, a, b = _step_multipliers(k2, h, mesh.quad_order)
             for acc_i, prev_i, force_i in zip(acc, prev, force):
                 acc_i *= e
                 acc_i += a * prev_i
@@ -468,9 +484,14 @@ def picard_sweep(trace: MhdTrace) -> MhdTrace:
     the transport term enters the time derivative with a negative sign.
     Raises :class:`DivergenceError` when a new node is not finite.
     """
+    return _sweep(trace, _forcing_hats(*trace.spectra[:, 0], trace.grid))
+
+
+def _sweep(trace: MhdTrace, datum_force: tuple[np.ndarray, np.ndarray]) -> MhdTrace:
+    """:func:`picard_sweep`, given the forcing of node 0, which holds the initial spectra in every iterate."""
     grid, mesh, spectra = trace.grid, trace.mesh, trace.spectra
-    forces = node_map(lambda m: _forcing_hats(*spectra[:, m], grid), len(mesh.nodes))
-    accs = _duhamel(forces, mesh, _cube_tables(grid)["k2"])
+    forces = node_map(lambda m: _forcing_hats(*spectra[:, m + 1], grid), len(mesh.nodes) - 1)
+    accs = _duhamel(itertools.chain([datum_force], forces), mesh, _cube_tables(grid)["k2"])
     return _write_trace(mesh, grid, spectra[:, 0], accs, "sweep node")
 
 
@@ -511,7 +532,9 @@ def run_picard(
     - ``"overflow"``: a sweep's iterate, distance or seminorms were not
       finite; its record has ``delta = inf``.
 
-    The trace returned is the last finite iterate.
+    The trace returned is the last finite iterate.  Node 0 of every iterate
+    holds the initial spectra, bit for bit, so its forcing and its seminorm
+    node norms are formed once per run, in the first sweep.
     """
     if tol <= 0:
         raise ValueError("tolerance must be positive")
@@ -524,11 +547,16 @@ def run_picard(
         try:
             # overflow is reported by the finiteness checks, not by warnings
             with np.errstate(over="ignore", invalid="ignore"):
-                new = picard_sweep(trace)
+                if k == 1:
+                    datum_force = _forcing_hats(*trace.spectra[:, 0], trace.grid)
+                new = _sweep(trace, datum_force)
                 delta = trace_distance(new, trace)
                 _require_finite(f"sweep {k} distance", delta)
-                sem = weighted_seminorms(new, p, q, sampling) if report_seminorms else None
-                if sem is not None:
+                sem = None
+                if report_seminorms:
+                    if k == 1:
+                        datum_norms = _datum_norms(new, p, q, sampling)
+                    sem = _weighted_seminorms(new, p, q, sampling, datum_norms)
                     _require_finite(f"sweep {k} seminorms", list(sem.as_dict().values()))
         except DivergenceError:
             new, delta, sem = None, math.inf, None
@@ -652,7 +680,8 @@ def weak_star_check(trace: MhdTrace, phi: ScalarField, component: int) -> WeakSt
     if phi.grid != trace.grid:
         raise ValueError("test function lives on a different grid")
     h3 = trace.grid.spacing**3
-    g = [h3 * float(np.sum(w.values[component] * phi.values)) for w in trace.omega]
+    nodes = range(len(trace.mesh.nodes))
+    g = [h3 * float(np.sum(trace.node_field("omega", m).values[component] * phi.values)) for m in nodes]
     g0 = g[0]
     return WeakStarTable(
         times=tuple(trace.mesh.nodes),

@@ -317,23 +317,41 @@ def weighted_seminorms(
     exponents ``2p/(2p-3+q)`` and ``2p/(3p-3+q)``, by trapezoidal rule on the
     mesh.  Requires ``2p + q > 3``.
     """
+    return _weighted_seminorms(trace, p, q, sampling, _datum_norms(trace, p, q, sampling))
+
+
+def _exponents(p: float, q: float) -> MorreyParams:
     if not 2 * p + q > 3:
         raise ValueError(f"need 2p + q > 3 for integrable weights, got p={p}, q={q}")
-    mp = MorreyParams(p, q)
+    return MorreyParams(p, q)
+
+
+def _datum_norms(trace: "MhdTrace", p: float, q: float, sampling: BallSampling):
+    """:func:`_node_norms` of the vorticity and of the current at node 0, which holds the initial data."""
+    mp = _exponents(p, q)
+    return tuple(_node_norms(cube, trace.grid, mp, sampling) for cube in trace.spectra[:, 0])
+
+
+def _weighted_seminorms(
+    trace: "MhdTrace", p: float, q: float, sampling: BallSampling, datum_norms
+) -> WeightedSeminorms:
+    """:func:`weighted_seminorms`, given the :func:`_datum_norms` of node 0."""
+    mp = _exponents(p, q)
     nodes = trace.mesh.nodes
     e0 = 1.0 - (3.0 - q) / (2.0 * p)
     e1 = 1.5 - (3.0 - q) / (2.0 * p)
     a0 = 2.0 * p / (2.0 * p - 3.0 + q)
     a1 = 2.0 * p / (3.0 * p - 3.0 + q)
 
-    count = len(nodes)
+    count = len(nodes) - 1
 
-    def task(i):  # one per (field, node): the vorticity nodes, then the current nodes
-        return _node_norms(trace.spectra[divmod(i, count)], trace.grid, mp, sampling)
+    def task(i):  # one per (field, node > 0): the vorticity nodes, then the current nodes
+        which, m = divmod(i, count)
+        return _node_norms(trace.spectra[which, m + 1], trace.grid, mp, sampling)
 
     norms = list(node_map(task, 2 * count))
-    om, om_g = zip(*norms[:count])
-    jm, jm_g = zip(*norms[count:])
+    om, om_g = zip(datum_norms[0], *norms[:count])
+    jm, jm_g = zip(datum_norms[1], *norms[count:])
 
     return WeightedSeminorms(
         w0=_sup_weighted(nodes, om, e0),

@@ -105,15 +105,63 @@ class TestNodeMap:
         assert list(node_map(lambda i: i, 0)) == []
 
     def test_order_holds_under_fast_thread_switching(self, monkeypatch):
-        # more threads than cores, switching as often as the interpreter allows
-        monkeypatch.setenv("MHDLAB_THREADS", "3")
+        # as many threads as cores and more, switching as often as the interpreter allows
         old = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
-            for _ in range(20):
-                assert list(node_map(lambda i: np.full(64, i).sum(), 200)) == [64 * i for i in range(200)]
+            for threads in ("2", "3"):
+                monkeypatch.setenv("MHDLAB_THREADS", threads)
+                for _ in range(20):
+                    assert list(node_map(lambda i: np.full(64, i).sum(), 200)) == [64 * i for i in range(200)]
         finally:
             sys.setswitchinterval(old)
+
+    @pytest.mark.parametrize("threads", [2, 3])
+    def test_caller_computes_and_the_pool_has_one_thread_fewer(self, threads, monkeypatch):
+        monkeypatch.setenv("MHDLAB_THREADS", str(threads))
+        lock = threading.Lock()
+        running, peak, where = 0, 0, {}
+
+        def task(i):
+            nonlocal running, peak
+            with lock:
+                running += 1
+                peak = max(peak, running)
+                where[i] = threading.get_ident()
+            time.sleep(0.005)
+            with lock:
+                running -= 1
+            return i
+
+        assert list(node_map(task, 30)) == list(range(30))
+        others = set(where.values()) - {threading.get_ident()}
+        assert threading.get_ident() in where.values() and len(others) <= threads - 1
+        assert peak <= threads
+
+    @pytest.mark.parametrize("threads", [2, 3])
+    def test_failure_in_a_callers_task_drains_the_pool(self, threads, monkeypatch):
+        monkeypatch.setenv("MHDLAB_THREADS", str(threads))
+        lock = threading.Lock()
+        started, finished, failed_on = set(), set(), []
+        fail = threads  # the calling thread's second task
+
+        def task(i):
+            with lock:
+                started.add(i)
+            time.sleep(0.02)
+            with lock:
+                finished.add(i)
+            if i == fail:
+                failed_on.append(threading.get_ident())
+                raise KeyError(i)
+            return i
+
+        with pytest.raises(KeyError):
+            list(node_map(task, 50))
+        assert failed_on == [threading.get_ident()]
+        # the pool's lookahead was waited for, and nothing past it started
+        assert started == finished
+        assert max(started) <= fail + threads - 1
 
     @pytest.mark.parametrize("threads", ["2", "3"])
     def test_failed_task_cancels_or_drains_the_lookahead(self, threads, monkeypatch):

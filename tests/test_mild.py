@@ -528,11 +528,46 @@ class TestRunPicard:
         def broken(*_args):
             raise ValueError("a bug, not a divergence")
 
-        for name in ("picard_sweep", "weighted_seminorms"):
+        # the functions run_picard calls: node 0's forcing and norms, once, and every sweep
+        for name in ("_forcing_hats", "_sweep", "_datum_norms", "_weighted_seminorms"):
             with monkeypatch.context() as patch:
                 patch.setattr(mild, name, broken)
                 with pytest.raises(ValueError, match="a bug"):
                     run_picard(w0, j0, mesh)
+
+    @pytest.mark.parametrize("graded", [False, True])
+    def test_node_zero_is_computed_once_per_run(self, grid16, monkeypatch, graded):
+        # node 0 of every iterate is the datum, so a run forms its forcing and
+        # its two seminorm node norms in the first sweep only, and the public
+        # sweep and seminorms, which form them each time, give the same bits
+        import mhdlab.mild as mild
+        import mhdlab.morrey as morrey
+
+        spec = {
+            "omega": {"family": "random_divfree", "seed": 3, "cutoff": 4, "amplitude": 0.5},
+            "j": {"family": "random_divfree", "seed": 4, "cutoff": 4, "amplitude": 0.5},
+        }
+        w0, j0 = generate_initial_data(spec, grid16)
+        mesh = TimeMesh.graded(0.2, 6) if graded else TimeMesh.uniform(0.2, 6)
+        calls = {"_forcing_hats": [], "_node_norms": []}
+        for module, name in ((mild, "_forcing_hats"), (morrey, "_node_norms")):
+            def counted(*args, _fn=getattr(module, name), _log=calls[name]):
+                _log.append(1)
+                return _fn(*args)
+
+            monkeypatch.setattr(module, name, counted)
+        runs = []
+        for sweeps in (1, 2, 3):
+            for log in calls.values():
+                log.clear()
+            runs.append(run_picard(w0, j0, mesh, tol=1e-14, max_sweeps=sweeps))
+            assert runs[-1][1].stop == "budget"
+            assert len(calls["_forcing_hats"]) == 1 + sweeps * (6 - 1)
+            assert len(calls["_node_norms"]) == 2 + 2 * sweeps * (6 - 1)
+        traces = [heat_flow_trace(w0, j0, mesh)] + [trace for trace, _ in runs]
+        for before, after, (_, report) in zip(traces, traces[1:], runs):
+            assert np.array_equal(picard_sweep(before).spectra, after.spectra)
+            assert weighted_seminorms(after, 1.5, 1.0) == report.sweeps[-1].seminorms
 
     def test_grid_mismatch_propagates(self, grid32, grid16):
         w0, _ = _coupled_data(grid32)
@@ -718,6 +753,27 @@ class TestWeakStar:
             assert report.converged
             devs.append(weak_star_check(trace, phi, component=2).deviations[1])
         assert devs[1] < devs[0]
+
+    def test_peak_memory_does_not_grow_with_the_node_count(self, grid32):
+        # the pairings are formed one node at a time: at n = 32 a node's
+        # vorticity takes 0.75 MB.  A table built from every node's at once
+        # peaked at 2.9 MB for M = 3 and 7.6 MB for M = 9; this one peaks at
+        # 1.33 MB for both, under a margin of 64 kB
+        x1 = grid32.meshgrid()[0]
+        phi = ScalarField(grid32, np.cos(x1))
+        h3 = grid32.spacing**3
+        peaks = []
+        for num_nodes in (3, 9):
+            trace = heat_flow_trace(*_coupled_data(grid32, amplitude=0.5), TimeMesh.uniform(0.5, num_nodes))
+            tracemalloc.start()
+            try:
+                table = weak_star_check(trace, phi, component=1)
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            peaks.append(peak)
+            assert table.values == tuple(h3 * float(np.sum(w.values[1] * phi.values)) for w in trace.omega)
+        assert peaks[1] <= peaks[0] + 64 * 2**10
 
 
 class TestTraceValidation:
